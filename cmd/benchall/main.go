@@ -1,4 +1,4 @@
-// Command benchall regenerates every experiment in EXPERIMENTS.md:
+// Command benchall regenerates every experiment of the evaluation:
 // the full E1–E6 matrix of the paper's evaluation (scalability of
 // atomic overlapped non-contiguous writes, MPI-tile-IO, region-count
 // sweep, overlap sweep, striping sweep, and the headline throughput
@@ -61,7 +61,6 @@ var experiments = map[string]func(bool){
 
 func main() {
 	quick := flag.Bool("quick", false, "smaller matrix for a fast smoke run")
-	headline := flag.Bool("headline", false, "run only E6 (headline ratio)")
 	only := flag.String("only", "", "comma-separated experiment names to run (e.g. E14 or E1,E6); empty = all")
 	flag.Parse()
 
@@ -75,8 +74,6 @@ func main() {
 		for _, run := range runners {
 			run(*quick)
 		}
-	case *headline:
-		runE6(*quick)
 	default:
 		runE1(*quick)
 		runE2(*quick)

@@ -16,6 +16,7 @@ package blob
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/chunk"
@@ -134,8 +135,11 @@ type WriteOptions struct {
 	Window int
 }
 
-// DefaultWindow is the pipelined write path's default in-flight chunk
-// bound.
+// DefaultWindow bounds in-flight chunk transfers in both directions: it
+// is the pipelined write path's default chunk-store window and the read
+// path's fetch window. Eight keeps the data plane busy on a small host
+// without dialing a fresh connection per chunk or holding more fetched
+// fragments in memory than the copy-out can drain.
 const DefaultWindow = 8
 
 // Create registers a new blob with the given geometry and returns its
@@ -427,6 +431,14 @@ func (b *Blob) WaitPublished(v uint64) error {
 // ReadList atomically reads a non-contiguous vector of extents from the
 // snapshot with the given version, filling and returning a buffer laid
 // out in list order. Unwritten bytes read as zero.
+//
+// Every byte moves once, straight into the returned buffer. After the
+// metadata resolve, planSlots maps each fragment to the ranges of the
+// output it fills; fetches then run under a window of DefaultWindow and
+// each copies its fragment into its slots as soon as it arrives, so the
+// copying overlaps the fetches still in flight and the fragment buffer
+// is garbage at once. The first failed fetch stops further fetches from
+// being issued.
 func (b *Blob) ReadList(version uint64, q extent.List) ([]byte, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -435,62 +447,115 @@ func (b *Blob) ReadList(version uint64, q extent.List) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Resolve on the normalized query, then gather into the caller's
-	// (possibly overlapping / unsorted) layout.
-	norm := q.Normalize()
-	frags, _, err := b.tree.Resolve(info.Root, norm)
+	// Resolve on the normalized query; the slot plan maps the sorted,
+	// disjoint fragments back onto the caller's (possibly overlapping /
+	// unsorted) layout.
+	frags, _, err := b.tree.Resolve(info.Root, q.Normalize())
 	if err != nil {
 		return nil, err
 	}
+	plan := planSlots(q, frags)
+	out := make([]byte, q.TotalLength())
 
-	// Fetch fragments in parallel. Refs carry the replica set recorded
-	// at write time: GetFrom fails over across those copies when a
-	// provider is down, falling back to the router's placement map when
-	// the hint has gone stale (a repair moved the copies). A cached
-	// fresh hint from an earlier stale read overrides the metadata
-	// hint, and any newly learned fresh set is cached for next time.
-	data := make([][]byte, len(frags))
-	errs := make(chan error, len(frags))
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards firstErr
+		firstErr error
+	)
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return firstErr != nil
+	}
+	sem := make(chan struct{}, DefaultWindow)
 	for i, f := range frags {
+		sem <- struct{}{}
+		if failed() {
+			<-sem
+			break
+		}
 		wg.Add(1)
-		go func(i int, f segtree.Fragment) {
+		go func(f segtree.Fragment, slots []slot) {
 			defer wg.Done()
-			replicas, ok := b.FreshHint(f.Ref.Key)
-			if !ok {
-				replicas = make([]provider.ID, len(f.Ref.Replicas))
-				for j, id := range f.Ref.Replicas {
-					replicas[j] = provider.ID(id)
-				}
-			}
-			d, fresh, err := b.svc.Data.GetFrom(replicas, f.Ref.Key, f.Ref.Offset, f.Ref.Length)
+			// The slot frees only on return, after a failure is
+			// recorded, so the next fetch to acquire it sees the failure.
+			defer func() { <-sem }()
+			d, err := b.fetch(f)
 			if err != nil {
-				errs <- err
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
 				return
 			}
-			if fresh != nil {
-				b.cacheHint(f.Ref.Key, fresh)
+			// A fragment shorter than its ref leaves the rest of its
+			// slots zero rather than reading past its end.
+			for _, s := range slots {
+				copy(out[s.dst:s.dst+s.n], d[min(s.src, int64(len(d))):])
 			}
-			data[i] = d
-		}(i, f)
+		}(f, plan[i])
 	}
 	wg.Wait()
-	close(errs)
-	if err := <-errs; err != nil {
-		return nil, fmt.Errorf("blob: fetch chunks: %w", err)
+	if firstErr != nil {
+		return nil, fmt.Errorf("blob: fetch chunks: %w", firstErr)
 	}
-
-	// Assemble: scatter fragments into a bounding image, then gather
-	// the caller's layout from it.
-	bound := q.Bounding()
-	image := make([]byte, bound.Length)
-	for i, f := range frags {
-		copy(image[f.Ext.Offset-bound.Offset:], data[i])
-	}
-	out := make([]byte, q.TotalLength())
-	vec := extent.Vec{Extents: q, Buf: out}
-	vec.GatherFrom(image, bound.Offset)
 	return out, nil
+}
+
+// fetch reads one fragment's bytes. Refs carry the replica set recorded
+// at write time: GetFrom fails over across those copies when a provider
+// is down, falling back to the router's placement map when the hint has
+// gone stale (a repair moved the copies). A cached fresh hint from an
+// earlier stale read overrides the metadata hint, and any newly learned
+// fresh set is cached for next time.
+func (b *Blob) fetch(f segtree.Fragment) ([]byte, error) {
+	replicas, ok := b.FreshHint(f.Ref.Key)
+	if !ok {
+		replicas = make([]provider.ID, len(f.Ref.Replicas))
+		for j, id := range f.Ref.Replicas {
+			replicas[j] = provider.ID(id)
+		}
+	}
+	d, fresh, err := b.svc.Data.GetFrom(replicas, f.Ref.Key, f.Ref.Offset, f.Ref.Length)
+	if err != nil {
+		return nil, err
+	}
+	if fresh != nil {
+		b.cacheHint(f.Ref.Key, fresh)
+	}
+	return d, nil
+}
+
+// slot is one copy from a fetched fragment into a read's output buffer:
+// n bytes from offset src in the fragment to offset dst in the output.
+type slot struct{ dst, src, n int64 }
+
+// planSlots maps every query extent, in caller order, onto the sorted,
+// disjoint fragments that hold its bytes, and returns each fragment's
+// slots. Each (fragment, query extent) pair owns a disjoint range of the
+// output, so fetches may fill their slots concurrently; overlapping or
+// duplicate query extents just give a fragment several slots, and bytes
+// no fragment covers (holes) get none.
+func planSlots(q extent.List, frags []segtree.Fragment) [][]slot {
+	plan := make([][]slot, len(frags))
+	var dst int64
+	for _, e := range q {
+		i := sort.Search(len(frags), func(i int) bool { return frags[i].Ext.End() > e.Offset })
+		for ; i < len(frags) && frags[i].Ext.Offset < e.End(); i++ {
+			x := frags[i].Ext.Intersect(e)
+			if x.Empty() {
+				continue
+			}
+			plan[i] = append(plan[i], slot{
+				dst: dst + x.Offset - e.Offset,
+				src: x.Offset - frags[i].Ext.Offset,
+				n:   x.Length,
+			})
+		}
+		dst += e.Length
+	}
+	return plan
 }
 
 // ReadAt is the contiguous convenience form of ReadList.

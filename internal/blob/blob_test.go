@@ -3,9 +3,14 @@ package blob
 import (
 	"bytes"
 	"errors"
+	"math/rand"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/extent"
 	"repro/internal/iosim"
 	"repro/internal/metadata"
@@ -416,5 +421,121 @@ func TestReadFailsOverAcrossReplicas(t *testing.T) {
 		if err := mgr.SetDown(provider.ID(id), false); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// readOracle is the byte-level model of a blob: every write is
+// scattered into a flat image, and a list read is the image's bytes for
+// each query extent, in query order.
+type readOracle struct{ image []byte }
+
+func (o *readOracle) write(t *testing.T, b *Blob, l extent.List, seed int64) {
+	t.Helper()
+	buf := make([]byte, l.TotalLength())
+	rand.New(rand.NewSource(seed)).Read(buf)
+	vec, err := extent.NewVec(l, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.WriteList(vec, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	vec.ScatterInto(o.image, 0)
+}
+
+func (o *readOracle) read(q extent.List) []byte {
+	var want []byte
+	for _, e := range q {
+		want = append(want, o.image[e.Offset:e.End()]...)
+	}
+	return want
+}
+
+// TestReadListShapes checks list reads of every shape against the byte
+// oracle: caller order is kept for unsorted, overlapping and duplicate
+// extents, holes read as zero, extents may start and end mid-chunk, and
+// a read may span many more fragments than the fetch window.
+func TestReadListShapes(t *testing.T) {
+	b := testBlob(t) // 1 KiB pages: one chunk per page
+	o := &readOracle{image: make([]byte, b.Geometry().Capacity)}
+	// Two overlapping writes (the second shadows part of the first, so
+	// reads resolve through chained leaves), leaving [12 KiB, 20 KiB) and
+	// everything past 84 KiB never written.
+	o.write(t, b, extent.List{{Offset: 0, Length: 12 << 10}, {Offset: 20 << 10, Length: 64 << 10}}, 1)
+	o.write(t, b, extent.List{{Offset: 3000, Length: 2500}, {Offset: 30 << 10, Length: 5000}}, 2)
+	latest, err := b.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cases := []struct {
+		name string
+		q    extent.List
+	}{
+		{"unsorted", extent.List{{Offset: 40000, Length: 300}, {Offset: 100, Length: 50}, {Offset: 9000, Length: 2000}}},
+		{"overlapping", extent.List{{Offset: 2000, Length: 4000}, {Offset: 3500, Length: 1000}, {Offset: 5900, Length: 300}}},
+		{"duplicate", extent.List{{Offset: 1500, Length: 700}, {Offset: 1500, Length: 700}, {Offset: 1500, Length: 700}}},
+		{"hole inside", extent.List{{Offset: 11 << 10, Length: 10 << 10}}},
+		{"never written", extent.List{{Offset: 100 << 10, Length: 3000}, {Offset: 14 << 10, Length: 1}}},
+		{"mid-chunk", extent.List{{Offset: 1023, Length: 2}, {Offset: 4097, Length: 1022}, {Offset: 30000, Length: 5555}}},
+		{"wider than window", extent.List{{Offset: 10, Length: 90 << 10}}},
+		{"many small", func() extent.List {
+			var l extent.List
+			for i := int64(80); i >= 0; i-- {
+				l = append(l, extent.Extent{Offset: i*1024 + 511, Length: 3})
+			}
+			return l
+		}()},
+		{"empty extent", extent.List{{Offset: 700, Length: 0}, {Offset: 600, Length: 200}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := b.ReadList(latest.Version, c.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := o.read(c.q); !bytes.Equal(got, want) {
+				t.Fatalf("read %v differs from the oracle", c.q)
+			}
+		})
+	}
+}
+
+// failingData fails every GetFrom and counts the calls, and the calls
+// still running.
+type failingData struct {
+	DataService
+	calls, inflight atomic.Int32
+}
+
+func (f *failingData) GetFrom([]provider.ID, chunk.Key, int64, int64) ([]byte, []provider.ID, error) {
+	f.calls.Add(1)
+	f.inflight.Add(1)
+	defer f.inflight.Add(-1)
+	time.Sleep(time.Millisecond) // let the window fill before anyone fails
+	return nil, nil, errInjected
+}
+
+var errInjected = errors.New("injected fetch failure")
+
+// TestReadListFailsFast: once a fetch fails, ReadList issues no more
+// fetches, so a failed 64-fragment read costs at most one window of
+// calls, and it returns only after every fetch it started has finished.
+func TestReadListFailsFast(t *testing.T) {
+	b := testBlob(t)
+	if _, err := b.Write(0, make([]byte, 64<<10), WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	stub := &failingData{DataService: b.svc.Data}
+	b.svc.Data = stub
+	_, err := b.ReadAt(1, 0, 64<<10)
+	if !errors.Is(err, errInjected) || !strings.HasPrefix(err.Error(), "blob: fetch chunks: ") {
+		t.Fatalf("err = %v, want %v wrapped as blob: fetch chunks", err, errInjected)
+	}
+	if n := stub.inflight.Load(); n != 0 {
+		t.Fatalf("%d fetches still running after ReadList returned", n)
+	}
+	if calls := stub.calls.Load(); calls > DefaultWindow {
+		t.Fatalf("%d fetches issued for a failed read, want at most %d", calls, DefaultWindow)
 	}
 }

@@ -378,3 +378,81 @@ func TestPropIntersectsExtentMatchesOverlaps(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refScatter and refGather are the byte-at-a-time definitions of
+// ScatterInto and GatherFrom, kept as the oracle for the copy-based
+// implementations.
+func refScatter(v Vec, image []byte, base int64) {
+	var start int64
+	for _, e := range v.Extents {
+		for i := int64(0); i < e.Length; i++ {
+			if p := e.Offset - base + i; p >= 0 && p < int64(len(image)) {
+				image[p] = v.Buf[start+i]
+			}
+		}
+		start += e.Length
+	}
+}
+
+func refGather(v Vec, image []byte, base int64) {
+	var start int64
+	for _, e := range v.Extents {
+		for i := int64(0); i < e.Length; i++ {
+			v.Buf[start+i] = 0
+			if p := e.Offset - base + i; p >= 0 && p < int64(len(image)) {
+				v.Buf[start+i] = image[p]
+			}
+		}
+		start += e.Length
+	}
+}
+
+func TestVecScatterGatherClamping(t *testing.T) {
+	const base, size = 100, 20 // the image holds file bytes [100, 120)
+	cases := []struct {
+		name string
+		l    List
+	}{
+		{"wholly before", List{{90, 5}}},
+		{"touching start", List{{95, 5}}},
+		{"straddling start", List{{95, 10}}},
+		{"inside", List{{105, 5}}},
+		{"whole image", List{{100, 20}}},
+		{"straddling end", List{{115, 10}}},
+		{"covering both ends", List{{90, 40}}},
+		{"wholly after", List{{130, 4}}},
+		{"empty extent", List{{110, 0}}},
+		{"mixed unsorted", List{{130, 4}, {95, 10}, {105, 5}, {90, 5}, {115, 10}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.l.TotalLength()
+			src := make([]byte, n)
+			for i := range src {
+				src[i] = byte(i + 1)
+			}
+			image := make([]byte, size)
+			want := make([]byte, size)
+			for i := range image {
+				image[i] = byte(200 + i)
+				want[i] = image[i]
+			}
+			Vec{Extents: c.l, Buf: src}.ScatterInto(image, base)
+			refScatter(Vec{Extents: c.l, Buf: src}, want, base)
+			if string(image) != string(want) {
+				t.Fatalf("ScatterInto image = %v, want %v", image, want)
+			}
+
+			got := make([]byte, n)
+			ref := make([]byte, n)
+			for i := range got {
+				got[i], ref[i] = 0xEE, 0xEE // stale bytes must be overwritten
+			}
+			Vec{Extents: c.l, Buf: got}.GatherFrom(image, base)
+			refGather(Vec{Extents: c.l, Buf: ref}, image, base)
+			if string(got) != string(ref) {
+				t.Fatalf("GatherFrom = %v, want %v", got, ref)
+			}
+		})
+	}
+}

@@ -47,19 +47,16 @@ func (v Vec) ForEach(fn func(e Extent, b []byte) error) error {
 
 // ScatterInto copies the vector's data into a flat image buffer that
 // represents the file contents starting at base. Bytes outside the image
-// are ignored. Used by tests and the verifier to materialize expected
-// file states.
+// are ignored. Used by tests, the verifier and the data-sieve driver to
+// materialize file states.
 func (v Vec) ScatterInto(image []byte, base int64) {
 	var start int64
 	for _, e := range v.Extents {
 		src := v.Buf[start : start+e.Length]
 		start += e.Length
 		lo := e.Offset - base
-		for i, b := range src {
-			p := lo + int64(i)
-			if p >= 0 && p < int64(len(image)) {
-				image[p] = b
-			}
+		if a, b := clampSpan(lo, e.Length, int64(len(image))); a < b {
+			copy(image[a:b], src[a-lo:b-lo])
 		}
 	}
 }
@@ -72,13 +69,19 @@ func (v Vec) GatherFrom(image []byte, base int64) {
 		dst := v.Buf[start : start+e.Length]
 		start += e.Length
 		lo := e.Offset - base
-		for i := range dst {
-			p := lo + int64(i)
-			if p >= 0 && p < int64(len(image)) {
-				dst[i] = image[p]
-			} else {
-				dst[i] = 0
-			}
+		a, b := clampSpan(lo, e.Length, int64(len(image)))
+		if a >= b {
+			clear(dst)
+			continue
 		}
+		clear(dst[:a-lo])
+		copy(dst[a-lo:b-lo], image[a:b])
+		clear(dst[b-lo:])
 	}
+}
+
+// clampSpan clips the span [lo, lo+n) to an image of the given size and
+// returns the surviving image range [a, b); a >= b when nothing is left.
+func clampSpan(lo, n, size int64) (a, b int64) {
+	return max(lo, 0), min(lo+n, size)
 }
