@@ -106,30 +106,8 @@ func main() {
 		case "meta":
 			roles.Meta = metadata.NewStore(*shards, metaModel)
 		case "data":
-			if *replicas > *providers {
-				fmt.Fprintf(os.Stderr, "-replicas %d exceeds -providers %d\n", *replicas, *providers)
-				os.Exit(2)
-			}
-			codeK, codeM, err := provider.ParseCoding(*coding)
-			if err != nil {
+			if err := provider.ValidatePlacement(*providers, *replicas, *coding, *quorum); err != nil {
 				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
-			}
-			if *coding != "" {
-				if *replicas > 1 {
-					fmt.Fprintf(os.Stderr, "-coding %s is mutually exclusive with -replicas %d\n", *coding, *replicas)
-					os.Exit(2)
-				}
-				if codeK+codeM > *providers {
-					fmt.Fprintf(os.Stderr, "-coding %s needs %d providers, -providers is %d\n", *coding, codeK+codeM, *providers)
-					os.Exit(2)
-				}
-				if *quorum != 0 && (*quorum < codeK || *quorum > codeK+codeM) {
-					fmt.Fprintf(os.Stderr, "-quorum %d outside [%d, %d] for -coding %s\n", *quorum, codeK, codeK+codeM, *coding)
-					os.Exit(2)
-				}
-			} else if r := max(*replicas, 1); *quorum > r {
-				fmt.Fprintf(os.Stderr, "-quorum %d exceeds -replicas %d\n", *quorum, r)
 				os.Exit(2)
 			}
 			labels, err := domainLabels(*domains, *providers)
@@ -137,7 +115,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			pool, _, err := provider.NewURLPoolInDomains(*storeURL, *providers, 0, dataModel, false)
+			pool, _, _, err := provider.NewPool(provider.PoolConfig{N: *providers, Model: dataModel, StoreURL: *storeURL})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
@@ -155,6 +133,7 @@ func main() {
 			roles.Data.SetMetrics(reg)
 			roles.Data.SetReplicas(*replicas)
 			if *coding != "" {
+				codeK, codeM, _ := provider.ParseCoding(*coding) // validated above
 				if err := roles.Data.SetCoding(codeK, codeM); err != nil {
 					fmt.Fprintln(os.Stderr, err)
 					os.Exit(2)

@@ -42,7 +42,7 @@ func main() {
 	}
 	defer metaNode.Close()
 
-	pool, _ := provider.NewPool(4, iosim.CostModel{})
+	pool, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	dataNode, err := remote.Listen("127.0.0.1:0", remote.Roles{
 		Data: provider.NewRouter(pool),
 	})

@@ -99,7 +99,20 @@ func RunSmallWrites(env cluster.Env, spec workload.OverlapSpec, opts SmallWriteO
 		Elapsed: elapsed,
 	}
 	res.MBps = float64(res.Bytes) / (1 << 20) / elapsed.Seconds()
+	res.CtrlBusy = ctrlBusy(svc)
 	return res, nil
+}
+
+// ctrlBusy is the control plane's own cost, in the simulation's
+// currency: the makespan of the busiest shard's metered service time.
+// Wall time conflates this with host CPU capacity (on a small machine
+// the clients' real compute dominates); the meters don't.
+func ctrlBusy(svc *cluster.Versioning) time.Duration {
+	var busiest time.Duration
+	for i := 0; i < svc.VM.NumShards(); i++ {
+		busiest = max(busiest, svc.VM.Shard(i).Meter().Stats().Busy)
+	}
+	return busiest
 }
 
 // BatchLabel names a group-commit configuration for tables.

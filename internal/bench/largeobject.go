@@ -123,7 +123,7 @@ func RunLargeObject(c LargeObjectCase, opts LargeObjectOptions) (LargeObjectResu
 	}
 	res := LargeObjectResult{Case: c, Size: opts.Size}
 
-	pool, _, err := provider.NewURLPoolInDomains(c.StoreURL, opts.Providers, 0, iosim.CostModel{}, false)
+	pool, _, _, err := provider.NewPool(provider.PoolConfig{N: opts.Providers, StoreURL: c.StoreURL})
 	if err != nil {
 		return res, err
 	}

@@ -134,14 +134,6 @@ func RunShardedPublish(env cluster.Env, spec workload.OverlapSpec, opts ShardedP
 		Elapsed: elapsed,
 	}
 	res.MBps = float64(res.Bytes) / (1 << 20) / elapsed.Seconds()
-	// The control plane's own cost, in the simulation's currency: the
-	// makespan of the busiest shard's metered service time. Wall time
-	// conflates this with host CPU capacity (on a small machine the
-	// clients' real compute dominates); the meters don't.
-	for i := 0; i < svc.VM.NumShards(); i++ {
-		if b := svc.VM.Shard(i).Meter().Stats().Busy; b > res.CtrlBusy {
-			res.CtrlBusy = b
-		}
-	}
+	res.CtrlBusy = ctrlBusy(svc)
 	return res, nil
 }

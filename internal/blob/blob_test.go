@@ -20,7 +20,7 @@ import (
 )
 
 func testServices() Services {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	return Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(4, iosim.CostModel{}),
@@ -305,7 +305,7 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 }
 
 func TestStripingAcrossProviders(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	svc := Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -352,7 +352,7 @@ func TestDiffAPI(t *testing.T) {
 // replicatedServices builds a deployment with replication degree R,
 // returning the manager so tests can kill providers.
 func replicatedServices(r int) (Services, *provider.Manager) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(r)
 	return Services{

@@ -44,7 +44,7 @@ func TestPipelinedWriteMatchesBuffered(t *testing.T) {
 // readable. The pipelined builder has stored nodes by then, so
 // retirement goes through Abort rather than a tombstone.
 func TestPipelinedWriteFailureRetiresTicket(t *testing.T) {
-	mgr, faults := provider.NewFaultPool(1, iosim.CostModel{})
+	mgr, _, faults, _ := provider.NewPool(provider.PoolConfig{N: 1, Faulty: true})
 	svc := Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(4, iosim.CostModel{}),

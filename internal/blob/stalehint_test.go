@@ -36,7 +36,7 @@ func (r *recordingData) GetFrom(replicas []provider.ID, key chunk.Key, off, leng
 // the fresh replica set, and cache it so the NEXT read goes straight
 // to the live copies instead of re-walking the dead hint.
 func TestStaleHintFallbackAndRefresh(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	rec := &recordingData{DataService: router}
@@ -120,7 +120,7 @@ func TestStaleHintFallbackAndRefresh(t *testing.T) {
 // placement change invalidates it for both; and the cache's byte bound
 // holds however many hints the handles learn.
 func TestSharedCacheHintLifecycle(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	cache := provider.NewReadCache(provider.ReadCacheConfig{Shards: 4, MaxBytes: 256 << 10})
@@ -203,7 +203,7 @@ func TestSharedCacheHintLifecycle(t *testing.T) {
 // private BOUNDED cache — the unbounded per-handle map this replaced
 // grew one entry per chunk ever read, forever.
 func TestPrivateHintCacheBounded(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	svc := Services{

@@ -181,29 +181,14 @@ func (e Env) Validate() error {
 	if e.ChunkSize < 1 {
 		return fmt.Errorf("cluster: chunk size %d must be positive", e.ChunkSize)
 	}
-	if e.Replicas > e.Providers {
-		return fmt.Errorf("cluster: %d replicas exceed %d providers", e.Replicas, e.Providers)
-	}
 	if e.Domains < 0 {
 		return fmt.Errorf("cluster: negative domain count %d", e.Domains)
 	}
 	if e.Domains > e.Providers {
 		return fmt.Errorf("cluster: %d domains exceed %d providers", e.Domains, e.Providers)
 	}
-	if k, m, err := provider.ParseCoding(e.Coding); err != nil {
+	if err := provider.ValidatePlacement(e.Providers, e.Replicas, e.Coding, e.WriteQuorum); err != nil {
 		return fmt.Errorf("cluster: %w", err)
-	} else if e.Coding != "" {
-		if e.Replicas > 1 {
-			return fmt.Errorf("cluster: coding %q is mutually exclusive with %d replicas", e.Coding, e.Replicas)
-		}
-		if k+m > e.Providers {
-			return fmt.Errorf("cluster: coding %q needs %d providers, have %d", e.Coding, k+m, e.Providers)
-		}
-		if e.WriteQuorum != 0 && (e.WriteQuorum < k || e.WriteQuorum > k+m) {
-			return fmt.Errorf("cluster: write quorum %d outside [%d, %d] for coding %q", e.WriteQuorum, k, k+m, e.Coding)
-		}
-	} else if r := max(e.Replicas, 1); e.WriteQuorum > r {
-		return fmt.Errorf("cluster: write quorum %d exceeds %d replicas", e.WriteQuorum, r)
 	}
 	if e.VMShards < 0 {
 		return fmt.Errorf("cluster: negative vmanager shard count %d", e.VMShards)
@@ -242,19 +227,15 @@ func NewVersioning(env Env) (*Versioning, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	var mgr *provider.Manager
-	var faults []*chunk.FaultStore
-	switch {
-	case env.StoreURL != "":
-		var err error
-		mgr, faults, err = provider.NewURLPoolInDomains(env.StoreURL, env.Providers, env.Domains, env.DataModel, env.FaultInjection)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: open store %q: %w", env.StoreURL, err)
-		}
-	case env.FaultInjection:
-		mgr, faults = provider.NewFaultPoolInDomains(env.Providers, env.Domains, env.DataModel)
-	default:
-		mgr, _ = provider.NewPoolInDomains(env.Providers, env.Domains, env.DataModel)
+	mgr, _, faults, err := provider.NewPool(provider.PoolConfig{
+		N:        env.Providers,
+		Domains:  env.Domains,
+		Model:    env.DataModel,
+		StoreURL: env.StoreURL,
+		Faulty:   env.FaultInjection,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: open store %q: %w", env.StoreURL, err)
 	}
 	reg := metrics.NewRegistry()
 	vm := vmanager.NewSharded(env.CtrlModel, max(env.VMShards, 1))

@@ -15,7 +15,7 @@ import (
 )
 
 func services() blob.Services {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	return blob.Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(4, iosim.CostModel{}),
@@ -182,7 +182,7 @@ func TestConcurrentAtomicSemantics(t *testing.T) {
 }
 
 func TestScrub(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	svc := blob.Services{

@@ -342,7 +342,7 @@ func TestHealerPassEmptyDeployment(t *testing.T) {
 // the scrubber re-enqueues it every pass, so "queue drained" alone
 // would never hold.
 func TestHealerPassWithLostChunk(t *testing.T) {
-	mgr, faults := provider.NewFaultPool(3, iosim.CostModel{})
+	mgr, _, faults, _ := provider.NewPool(provider.PoolConfig{N: 3, Faulty: true})
 	r := provider.NewRouter(mgr)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}

@@ -78,7 +78,7 @@ func TestPropRandomOverlapSerializableEverySystem(t *testing.T) {
 // TestMPIIOTileOverRPC runs the tile workload through the MPI-I/O
 // layer against the versioning service running over real TCP.
 func TestMPIIOTileOverRPC(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	node, err := remote.Listen("127.0.0.1:0", remote.Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(4, iosim.CostModel{}),

@@ -20,7 +20,7 @@ import (
 
 func newVersioningDriver(t *testing.T) *VersioningDriver {
 	t.Helper()
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	svc := blob.Services{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),

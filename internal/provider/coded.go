@@ -1,31 +1,29 @@
 package provider
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/chunk"
 )
 
-// This file is the Router's erasure-coded placement mode: instead of R
-// full copies, each chunk is Reed-Solomon encoded into k data + m
-// parity fragments placed on k+m distinct providers (domain-spread by
-// the same allocator replication uses). Any k fragments reconstruct
-// the chunk, so durability matches m-loss replication at (k+m)/k
-// storage overhead instead of R.
+// coded is erasure-coded placement: instead of R full copies, each
+// chunk is Reed-Solomon encoded into k data + m parity fragments placed
+// on k+m distinct providers (domain-spread by the same allocator
+// replication uses). Any k fragments reconstruct the chunk, so
+// durability matches m-loss replication at (k+m)/k storage overhead
+// instead of R.
 //
 // # Coded placement contract
 //
 //   - Placement is POSITIONAL: the i-th entry of a coded chunk's
 //     replica set is the provider holding fragment i (0..k-1 data,
 //     k..k+m-1 parity). Every placement entry has exactly k+m
-//     positions; a position whose provider lost (or never stored) its
-//     fragment is detected by store probes, not by a sentinel.
+//     positions — a write records all of them, landed or not; a
+//     position whose provider lost (or never stored) its fragment is
+//     detected by store probes, not by a sentinel.
 //   - Fragment content is a pure function of (chunk bytes, position),
 //     so a provider that ever held position i holds bytes valid for
 //     position i forever (chunks are immutable). Repair therefore
@@ -34,7 +32,11 @@ import (
 //     serve wrong bytes.
 //   - Reads serve the requested sub-range straight from the data
 //     fragments it touches (no decode); any fragment failure falls
-//     back to degraded reconstruction from any k fragments.
+//     back to degraded reconstruction from any k fragments. Coded reads
+//     count as locality "flat" — fragments are spread across domains by
+//     design, so a "local read" of one chunk does not exist — and
+//     streaming reads share the buffered, read-cached path, since a
+//     range spanning fragments cannot splice one store file anyway.
 //   - Repair re-encodes: it reads any k surviving fragments, rebuilds
 //     the missing positions, and writes each one to a fresh provider
 //     in-position, preferring failure domains the survivors do not
@@ -45,10 +47,11 @@ import (
 //     only read authority; a hint that differs from it (ordered
 //     compare — position matters) returns a fresh set.
 //
-// Mode selection is boot-time configuration: switching a router with
-// recorded placement between replicated and coded modes is not
-// supported (existing entries would be misread under the other mode's
-// semantics).
+// Layout selection is boot-time configuration: switching a router with
+// recorded placement between replicated and coded layouts is not
+// supported (existing entries would be misread under the other
+// layout's semantics).
+type coded struct{ *chunk.RSCode }
 
 // ParseCoding parses an "rs-<k>+<m>" coding spec ("rs-4+2"). The empty
 // string means coding off (k=0, m=0, nil error).
@@ -71,22 +74,19 @@ func ParseCoding(s string) (k, m int, err error) {
 
 // SetCoding switches the router to erasure-coded placement with k data
 // and m parity fragments per chunk. SetCoding(0, 0) turns coding off
-// (back to replication). Coded mode supersedes SetReplicas: the
+// (back to replication). Coded placement supersedes SetReplicas: the
 // effective placement degree becomes k+m. Configure before storing any
-// chunks — see the mode-selection note above.
+// chunks — see the layout-selection note on the coded contract.
 func (r *Router) SetCoding(k, m int) error {
-	if k == 0 && m == 0 {
-		r.cfg.Lock()
-		r.codeK, r.codeM, r.code = 0, 0, nil
-		r.cfg.Unlock()
-		return nil
-	}
-	code, err := chunk.NewRSCode(k, m)
-	if err != nil {
-		return err
+	var code *chunk.RSCode
+	if k != 0 || m != 0 {
+		var err error
+		if code, err = chunk.NewRSCode(k, m); err != nil {
+			return err
+		}
 	}
 	r.cfg.Lock()
-	r.codeK, r.codeM, r.code = k, m, code
+	r.code = code
 	r.cfg.Unlock()
 	return nil
 }
@@ -96,29 +96,39 @@ func (r *Router) SetCoding(k, m int) error {
 func (r *Router) Coding() (k, m int, on bool) {
 	r.cfg.RLock()
 	defer r.cfg.RUnlock()
-	return r.codeK, r.codeM, r.code != nil
-}
-
-// codeState returns the active code, nil when the router replicates.
-func (r *Router) codeState() *chunk.RSCode {
-	r.cfg.RLock()
-	defer r.cfg.RUnlock()
-	return r.code
-}
-
-// degree is the number of placement positions every chunk should have:
-// k+m fragments in coded mode, R copies otherwise. Health, scrub and
-// convergence checks all compare against it.
-func (r *Router) degree() int {
-	r.cfg.RLock()
-	coded := r.code != nil
-	n := r.codeK + r.codeM
-	r.cfg.RUnlock()
-	if coded {
-		return n
+	if r.code == nil {
+		return 0, 0, false
 	}
-	return r.Replicas()
+	return r.code.K, r.code.M, true
 }
+
+func (c coded) degree() int      { return c.K + c.M }
+func (c coded) quorumFloor() int { return c.K }
+
+// allocate passes an empty non-nil have, selecting allocateSpread's
+// water-fill mode: fragments still land one per domain while enough
+// domains are live, but a stripe as wide as the domain count must not
+// refuse every write during a single domain outage — it doubles up in
+// the survivors and the spread audit re-spreads once the domain
+// returns.
+func (c coded) allocate(m *Manager) ([]*Provider, error) {
+	return m.allocateSpread(c.degree(), nil, map[string]int{})
+}
+
+func (c coded) encode(data []byte) [][]byte { return c.Encode(data) }
+
+// placed records all k+m positions: the ones whose store failed are
+// found by the probe-based repair path, which re-encodes them.
+func (coded) placed(targets []*Provider, _ []ID) []ID {
+	ids := make([]ID, len(targets))
+	for i, p := range targets {
+		ids[i] = p.ID()
+	}
+	return ids
+}
+
+func (coded) whole() bool            { return false }
+func (coded) sameSet(a, b []ID) bool { return sameIDList(a, b) }
 
 // sameIDList reports whether two ID slices are identical INCLUDING
 // order — the comparison coded placement needs, where the i-th entry
@@ -135,72 +145,32 @@ func sameIDList(a, b []ID) bool {
 	return true
 }
 
-// putCoded encodes the chunk into k+m fragments and stores fragment i
-// on the i-th of k+m distinct allocated providers in parallel. The put
-// succeeds once the write quorum of fragments landed (default k+m-1,
-// never below k); placement records ALL k+m positions — positions
-// whose store failed are found by the probe-based repair path, which
-// re-encodes them onto fresh providers.
-func (r *Router) putCoded(code *chunk.RSCode, key chunk.Key, data []byte) ([]ID, error) {
-	n := code.K + code.M
-	quorum := r.WriteQuorum()
-	// An empty non-nil have selects allocateSpread's water-fill mode:
-	// fragments still land one-per-domain while enough domains are
-	// live, but a stripe as wide as the domain count must not refuse
-	// every write during a single domain outage — it doubles up in the
-	// survivors and the spread audit re-spreads once the domain
-	// returns. (Replicated fresh allocation keeps the strict promise:
-	// R is normally far below the domain count, so a refusal there
-	// signals misconfiguration, not an outage.)
-	targets, err := r.allocateSpread(n, nil, map[string]int{})
+// read serves one sub-range from the positional set ids. The direct
+// path reads only the data fragments the range touches; any failure
+// there falls back to degraded reconstruction from any k full
+// fragments, which feeds the repair queue. Every real store attempt
+// feeds the health monitor.
+func (c coded) read(r *Router, ids []ID, key chunk.Key, off, length int64) ([]byte, bool, error) {
+	var start time.Time
+	if r.met.getSec != nil {
+		start = time.Now()
+	}
+	data, degraded, err := c.readRange(r, ids, key, off, length)
 	if err != nil {
-		return nil, err
+		return nil, degraded, err
 	}
-	shards := code.Encode(data)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, p := range targets {
-		wg.Add(1)
-		go func(i int, p *Provider) {
-			defer wg.Done()
-			errs[i] = r.putOne(p, key, shards[i])
-		}(i, p)
-	}
-	wg.Wait()
-	stored := make([]ID, n)
-	landed := 0
-	var failures []error
-	for i, p := range targets {
-		stored[i] = p.ID()
-		if errs[i] == nil {
-			landed++
-		} else {
-			failures = append(failures, fmt.Errorf("provider %d (fragment %d): %w", p.ID(), i, errs[i]))
-		}
-	}
-	if landed < quorum {
-		return nil, fmt.Errorf("provider: write quorum not met (%d/%d fragments, need %d): %w",
-			landed, n, quorum, errors.Join(failures...))
-	}
-	r.place.mu.Lock()
-	r.place.m[key] = stored
-	r.place.mu.Unlock()
-	if landed < n {
-		// Quorum-committed with missing fragments: born degraded, hand
-		// it to read-repair now.
+	if degraded {
 		r.noteDegraded(key)
 	}
-	return stored, nil
+	r.met.getFlat.Inc()
+	if r.met.getSec != nil {
+		r.met.getSec.ObserveSince(start)
+	}
+	return data, degraded, nil
 }
 
-// readCoded serves one coded sub-range read from the positional set
-// ids. The direct path reads only the data fragments the range
-// touches; any failure there falls back to degraded reconstruction
-// from any k full fragments. degraded reports whether the direct path
-// failed (the repair signal). Every real store attempt feeds the
-// health monitor.
-func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, length int64) (data []byte, degraded bool, err error) {
-	n := code.K + code.M
+func (c coded) readRange(r *Router, ids []ID, key chunk.Key, off, length int64) (data []byte, degraded bool, err error) {
+	n := c.degree()
 	if len(ids) != n {
 		return nil, false, fmt.Errorf("provider: coded placement of %s has %d positions, want %d", key, len(ids), n)
 	}
@@ -234,286 +204,122 @@ func (r *Router) readCoded(code *chunk.RSCode, ids []ID, key chunk.Key, off, len
 		}
 		return nil, true, fmt.Errorf("provider: no readable fragment of %s: %w", key, lastErr)
 	}
-	if off+length > int64(code.K)*ss {
-		return nil, false, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(code.K)*ss)
+	if off+length > int64(c.K)*ss {
+		return nil, false, fmt.Errorf("provider: coded read [%d, %d) of %s exceeds chunk bound %d", off, off+length, key, int64(c.K)*ss)
 	}
-	lo, hi := int(off/ss), int((off+length-1)/ss)
+	// span is the part of data fragment i the range covers.
+	span := func(i int) (lo, hi int64) {
+		return max(off-int64(i)*ss, 0), min(off+length-int64(i)*ss, ss)
+	}
+	first, last := int(off/ss), int((off+length-1)/ss)
 	out := make([]byte, 0, length)
-	direct := true
-	for i := lo; i <= hi; i++ {
-		flo := off - int64(i)*ss
-		if flo < 0 {
-			flo = 0
-		}
-		fhi := off + length - int64(i)*ss
-		if fhi > ss {
-			fhi = ss
-		}
+	for i := first; i <= last; i++ {
 		p := r.byID(ids[i])
 		if p == nil || p.Down() {
-			direct = false
+			degraded = true
 			break
 		}
-		frag, gerr := p.Store().Get(key, flo, fhi-flo)
+		lo, hi := span(i)
+		frag, gerr := p.Store().Get(key, lo, hi-lo)
 		r.reportError(ids[i], gerr)
 		if gerr != nil {
-			direct = false
+			degraded = true
 			break
 		}
 		out = append(out, frag...)
 	}
-	if direct {
+	if !degraded {
 		return out, false, nil
 	}
 	// Degraded: collect any k full fragments and reconstruct.
-	shards := make([][]byte, n)
-	got := 0
+	shards, got, ferr := c.fragments(r, key, ids, nil, ss)
+	if got < c.K {
+		if ferr == nil {
+			ferr = ErrProviderDown
+		}
+		return nil, true, fmt.Errorf("provider: only %d of %d fragments of %s readable, need %d: %w",
+			got, n, key, c.K, ferr)
+	}
+	if rerr := c.Reconstruct(shards); rerr != nil {
+		return nil, true, rerr
+	}
+	out = out[:0]
+	for i := first; i <= last; i++ {
+		lo, hi := span(i)
+		out = append(out, shards[i][lo:hi]...)
+	}
+	return out, true, nil
+}
+
+// fragments reads whole fragments of key, in position order, until k
+// are in hand: shards[i] holds position i's bytes, got counts them and
+// err is the last read failure. With live set only the positions it
+// marks are read, and a position whose read fails is demoted to not
+// live. size >= 0 rejects fragments of any other length; size < 0 reads
+// each fragment's own Len. Every read feeds the health monitor.
+func (c coded) fragments(r *Router, key chunk.Key, ids []ID, live []bool, size int64) (shards [][]byte, got int, err error) {
+	shards = make([][]byte, len(ids))
 	for i, id := range ids {
-		if got >= code.K {
+		if got >= c.K {
 			break
 		}
-		p := r.byID(id)
-		if p == nil || p.Down() {
+		if live != nil && !live[i] {
 			continue
 		}
-		frag, gerr := p.Store().Get(key, 0, ss)
-		r.reportError(id, gerr)
-		if gerr != nil {
-			lastErr = gerr
-			continue
-		}
-		if int64(len(frag)) != ss {
+		frag, ferr := r.readMember(id, key, size)
+		if ferr != nil {
+			err = ferr
+			if live != nil {
+				live[i] = false
+			}
 			continue
 		}
 		shards[i] = frag
 		got++
 	}
-	if got < code.K {
-		if lastErr == nil {
-			lastErr = ErrProviderDown
-		}
-		return nil, true, fmt.Errorf("provider: only %d of %d fragments of %s readable, need %d: %w",
-			got, n, key, code.K, lastErr)
-	}
-	if rerr := code.Reconstruct(shards); rerr != nil {
-		return nil, true, rerr
-	}
-	out = out[:0]
-	for i := lo; i <= hi; i++ {
-		flo := off - int64(i)*ss
-		if flo < 0 {
-			flo = 0
-		}
-		fhi := off + length - int64(i)*ss
-		if fhi > ss {
-			fhi = ss
-		}
-		out = append(out, shards[i][flo:fhi]...)
-	}
-	return out, true, nil
+	return shards, got, err
 }
 
-// getCoded is the coded Get: read-through cache, then readCoded from
-// authoritative placement. Degraded reads feed the repair queue. Coded
-// reads count as locality-flat — fragments are spread across domains
-// by design, so a "local read" of one chunk does not exist.
-func (r *Router) getCoded(code *chunk.RSCode, key chunk.Key, off, length int64) ([]byte, error) {
-	cache := r.ReadCache()
-	if cache != nil {
-		if data, ok := cache.GetData(key, off, length); ok {
-			return data, nil
+// rebuild re-encodes: read any k surviving fragments, reconstruct, and
+// write each missing position onto a fresh provider (excluding every
+// recorded member, preferring uncovered failure domains). A target
+// whose store rejects the fragment — including ErrExists, an orphan of
+// some other position (see the contract) — is excluded and allocation
+// retried, so one repair call converges past flag-lagging losses;
+// rejections along the way only count as failures if the fragment
+// never lands.
+func (c coded) rebuild(r *Router, key chunk.Key, ids []ID, live []bool) (RepairOutcome, int, error) {
+	n := c.degree()
+	shards, got, err := c.fragments(r, key, ids, live, -1)
+	if got < c.K {
+		if countLive(live) < c.K {
+			return RepairLost, 0, fmt.Errorf("provider: chunk %s has %d of %d readable fragments, need %d: %w", key, got, n, c.K, err)
 		}
+		return RepairPartial, 0, err
 	}
-	var start time.Time
-	if r.met.getSec != nil {
-		start = time.Now()
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, degraded, err := r.readCoded(code, ids, key, off, length)
-	if err != nil {
-		return nil, err
-	}
-	if degraded {
-		r.noteDegraded(key)
-	}
-	r.met.getFlat.Inc()
-	if r.met.getSec != nil {
-		r.met.getSec.ObserveSince(start)
-	}
-	r.fillData(cache, key, data, off)
-	return data, nil
-}
-
-// getFromCoded is the coded GetFrom. Unlike the replicated path, the
-// caller's hint is never read through (see the coded placement
-// contract: positions move, and a positional misread is undetectable),
-// but it IS refreshed: when authoritative placement differs from the
-// hint in any position, the fresh set returns for the caller to cache.
-func (r *Router) getFromCoded(code *chunk.RSCode, hint []ID, key chunk.Key, off, length int64) (data []byte, fresh []ID, err error) {
-	cache := r.ReadCache()
-	if cache != nil {
-		if data, ok := cache.GetData(key, off, length); ok {
-			if h, ok2 := cache.Hint(key); ok2 && !sameIDList(h, hint) {
-				return data, h, nil
-			}
-			return data, nil, nil
-		}
-	}
-	var start time.Time
-	if r.met.getSec != nil {
-		start = time.Now()
-	}
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, degraded, err := r.readCoded(code, ids, key, off, length)
-	if err != nil {
-		return nil, nil, err
-	}
-	if degraded {
-		r.noteDegraded(key)
-	}
-	r.met.getFlat.Inc()
-	if r.met.getSec != nil {
-		r.met.getSec.ObserveSince(start)
-	}
-	r.fillData(cache, key, data, off)
-	if !sameIDList(ids, hint) {
-		r.fillHint(cache, key, ids)
-		return data, ids, nil
-	}
-	return data, nil, nil
-}
-
-// openCoded materializes a coded sub-range read behind an
-// io.ReadCloser. Coded streaming reads cannot splice a single store
-// file to the socket anyway (the range spans fragments), so the
-// streaming plane shares the buffered read path.
-func (r *Router) openCoded(code *chunk.RSCode, key chunk.Key, off, length int64) (io.ReadCloser, error) {
-	data, err := r.getCoded(code, key, off, length)
-	if err != nil {
-		return nil, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), nil
-}
-
-// openFromCoded is openCoded with the hint-refresh semantics of
-// getFromCoded.
-func (r *Router) openFromCoded(code *chunk.RSCode, hint []ID, key chunk.Key, off, length int64) (io.ReadCloser, []ID, error) {
-	data, fresh, err := r.getFromCoded(code, hint, key, off, length)
-	if err != nil {
-		return nil, nil, err
-	}
-	return io.NopCloser(bytes.NewReader(data)), fresh, nil
-}
-
-// repairCoded restores a coded chunk to k+m live fragments: probe
-// every position, read any k surviving fragments, re-encode, and write
-// each missing position onto a fresh provider (excluding every
-// recorded member, preferring uncovered failure domains). A chunk at
-// full degree whose fragments co-locate while a spare live domain
-// exists gets one fragment relocated instead. Caller holds the
-// chunk's in-flight claim.
-func (r *Router) repairCoded(code *chunk.RSCode, key chunk.Key) (outcome RepairOutcome, copied int, err error) {
-	n := code.K + code.M
-	ids, ok := r.Locate(key)
-	if !ok {
-		return RepairHealthy, 0, nil
-	}
-	if len(ids) != n {
-		return RepairPartial, 0, fmt.Errorf("provider: coded repair of %s: placement has %d positions, want %d (stored under a different mode?)", key, len(ids), n)
-	}
-	liveAt := make([]bool, n)
-	live := 0
-	for i, id := range ids {
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		_, lerr := p.Store().Len(key)
-		r.reportError(id, lerr)
-		if lerr == nil {
-			liveAt[i] = true
-			live++
-		}
-	}
-	if live == n {
-		if r.spreadViolatedSet(ids) {
-			if moved, merr := r.improveSpreadCoded(key, ids); merr != nil {
-				return RepairPartial, 0, merr
-			} else if moved {
-				return RepairRepaired, 1, nil
-			}
-		}
-		return RepairHealthy, 0, nil
-	}
-	if live < code.K {
-		return RepairLost, 0, fmt.Errorf("provider: chunk %s has %d of %d fragments, need %d to reconstruct", key, live, n, code.K)
-	}
-	// Read any k surviving fragments; a fragment that fails the read
-	// despite the probe is demoted to missing.
-	shards := make([][]byte, n)
-	got := 0
-	var lastErr error
-	for i, id := range ids {
-		if !liveAt[i] || got >= code.K {
-			continue
-		}
-		p := r.byID(id)
-		sz, lerr := p.Store().Len(key)
-		if lerr == nil {
-			var frag []byte
-			frag, lerr = p.Store().Get(key, 0, sz)
-			r.reportError(id, lerr)
-			if lerr == nil {
-				shards[i] = frag
-				got++
-				continue
-			}
-		}
-		lastErr = lerr
-		liveAt[i] = false
-		live--
-	}
-	if got < code.K {
-		if live < code.K {
-			return RepairLost, 0, fmt.Errorf("provider: chunk %s has %d of %d readable fragments, need %d: %w", key, got, n, code.K, lastErr)
-		}
-		return RepairPartial, 0, lastErr
-	}
-	if rerr := code.Reconstruct(shards); rerr != nil {
-		return RepairPartial, 0, rerr
+	if err := c.Reconstruct(shards); err != nil {
+		return RepairPartial, 0, err
 	}
 	exclude := make(map[ID]bool, n)
 	have := make(map[string]int)
 	for i, id := range ids {
 		exclude[id] = true
-		if liveAt[i] {
+		if live[i] {
 			have[r.DomainOf(id)]++
 		}
 	}
 	newIDs := append([]ID(nil), ids...)
+	copied := 0
 	var failures []error
-	allocFailed := false
-	for i := 0; i < n && !allocFailed; i++ {
-		if liveAt[i] {
+	for i := 0; i < n; i++ {
+		if live[i] {
 			continue
 		}
-		// A target whose store rejects the fragment (including
-		// ErrExists — an orphan of some other position, see the
-		// contract) is excluded and allocation retried, so one repair
-		// call converges past flag-lagging losses. Rejections along the
-		// way only count as failures if the fragment never lands.
 		var fragErrs []error
 		for {
 			targets, aerr := r.allocateSpread(1, exclude, have)
 			if aerr != nil {
 				failures = append(failures, append(fragErrs, aerr)...)
-				allocFailed = true
 				break
 			}
 			p := targets[0]
@@ -527,39 +333,25 @@ func (r *Router) repairCoded(code *chunk.RSCode, key chunk.Key) (outcome RepairO
 			copied++
 			break
 		}
+		if len(failures) > 0 {
+			break // allocation is exhausted for every later position too
+		}
 	}
 	if copied > 0 {
 		r.setPlacement(key, newIDs)
 	}
-	if ferr := errors.Join(failures...); ferr != nil {
-		return RepairPartial, copied, ferr
+	if err := errors.Join(failures...); err != nil {
+		return RepairPartial, copied, err
 	}
 	return RepairRepaired, copied, nil
 }
 
-// improveSpreadCoded relocates one fragment of a full-degree coded
-// chunk from its most crowded failure domain into an uncovered one:
-// copy the fragment to a fresh provider there, delete the old copy
-// (best effort — a failed delete leaves an orphan fragment outside
-// placement, which blocks nothing: repair never reuses a provider
-// already holding the key), and swap the position's entry. moved is
-// false when no uncovered live domain has a spare provider. Caller
-// holds the chunk's in-flight claim.
-func (r *Router) improveSpreadCoded(key chunk.Key, ids []ID) (moved bool, err error) {
-	exclude := make(map[ID]bool, len(ids))
-	have := make(map[string]int, len(ids))
-	for _, id := range ids {
-		exclude[id] = true
-		have[r.DomainOf(id)]++
-	}
-	targets, aerr := r.allocateSpread(1, exclude, have)
-	if aerr != nil {
-		return false, nil // no spare provider at all; degree is intact
-	}
-	target := targets[0]
-	if have[target.Domain()] > 0 {
-		return false, nil // every uncovered domain is down or exhausted
-	}
+// respread relocates the last fragment sitting in a crowded domain onto
+// target: copy it there, delete the old copy (best effort — a failed
+// delete leaves an orphan fragment outside placement, which blocks
+// nothing: repair never reuses a provider already holding the key),
+// and swap the position's entry.
+func (coded) respread(r *Router, key chunk.Key, ids []ID, target *Provider, have map[string]int) ([]ID, error) {
 	idx := -1
 	for i := len(ids) - 1; i >= 0; i-- {
 		if have[r.DomainOf(ids[i])] >= 2 {
@@ -568,28 +360,22 @@ func (r *Router) improveSpreadCoded(key chunk.Key, ids []ID) (moved bool, err er
 		}
 	}
 	if idx < 0 {
-		return false, nil
+		return nil, nil
 	}
 	p := r.byID(ids[idx])
 	if p == nil || p.Down() {
-		return false, nil
+		return nil, nil
 	}
-	sz, err := p.Store().Len(key)
+	frag, err := r.readMember(ids[idx], key, -1)
 	if err != nil {
-		return false, err
+		return nil, err
 	}
-	frag, err := p.Store().Get(key, 0, sz)
-	r.reportError(ids[idx], err)
-	if err != nil {
-		return false, err
-	}
-	if werr := r.putOne(target, key, frag); werr != nil {
-		return false, werr
+	if err := r.putOne(target, key, frag); err != nil {
+		return nil, err
 	}
 	derr := p.Store().Delete(key)
 	r.reportError(ids[idx], derr)
-	newIDs := append([]ID(nil), ids...)
-	newIDs[idx] = target.ID()
-	r.setPlacement(key, newIDs)
-	return true, nil
+	out := append([]ID(nil), ids...)
+	out[idx] = target.ID()
+	return out, nil
 }

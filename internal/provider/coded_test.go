@@ -11,14 +11,13 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 // codedRouter builds a fault-injectable router in rs-k+m mode over n
 // providers split into the given number of contiguous domains.
 func codedRouter(t *testing.T, n, domains, k, m int) (*Router, []*chunk.FaultStore) {
 	t.Helper()
-	mgr, faults := NewFaultPoolInDomains(n, domains, iosim.CostModel{})
+	mgr, _, faults, _ := NewPool(PoolConfig{N: n, Domains: domains, Faulty: true})
 	r := NewRouter(mgr)
 	if err := r.SetCoding(k, m); err != nil {
 		t.Fatal(err)
@@ -102,7 +101,7 @@ func TestCodedAllLossPatterns(t *testing.T) {
 			if backend == "disk" {
 				rawURL = "disk://" + t.TempDir()
 			}
-			mgr, faults, err := NewURLPoolInDomains(rawURL, 6, 0, iosim.CostModel{}, true)
+			mgr, _, faults, err := NewPool(PoolConfig{N: 6, StoreURL: rawURL, Faulty: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -298,7 +297,7 @@ func TestCodedRepairPassDomainKill(t *testing.T) {
 	// domain; killing one domain costs every chunk exactly one fragment.
 	// The kill is flag-level (the detector/operator has noticed), so the
 	// spread audit measures against the 5 remaining live domains.
-	mgr, _ := NewPoolInDomains(12, 6, iosim.CostModel{})
+	mgr, _, _, _ := NewPool(PoolConfig{N: 12, Domains: 6})
 	r := NewRouter(mgr)
 	if err := r.SetCoding(4, 2); err != nil {
 		t.Fatal(err)
@@ -412,7 +411,7 @@ func TestCodedOpenReader(t *testing.T) {
 // TestCodedModeExclusions: coding config is validated and the mode is
 // all-or-nothing at the router level.
 func TestCodedModeExclusions(t *testing.T) {
-	m, _ := NewPool(6, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 6})
 	r := NewRouter(m)
 	if err := r.SetCoding(0, 2); err == nil {
 		t.Fatal("SetCoding(0,2) must fail")
@@ -437,7 +436,7 @@ func TestCodedModeExclusions(t *testing.T) {
 // allocation. Now the declared size is bounded by MaxChunkSize with a
 // typed error BEFORE any allocation.
 func TestPutStreamSizeBound(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 3})
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -502,12 +501,12 @@ func TestCodedStorageOverhead(t *testing.T) {
 		}
 		return n
 	}
-	mgrC, _ := NewPool(6, iosim.CostModel{})
+	mgrC, _, _, _ := NewPool(PoolConfig{N: 6})
 	rc := NewRouter(mgrC)
 	if err := rc.SetCoding(4, 2); err != nil {
 		t.Fatal(err)
 	}
-	mgrR, _ := NewPool(6, iosim.CostModel{})
+	mgrR, _, _, _ := NewPool(PoolConfig{N: 6})
 	rr := NewRouter(mgrR)
 	rr.SetReplicas(3)
 	rng := rand.New(rand.NewSource(17))
@@ -530,5 +529,84 @@ func TestCodedStorageOverhead(t *testing.T) {
 	}
 	if replX < 2.9 {
 		t.Fatalf("replicated overhead %.2fx, want ~3x", replX)
+	}
+}
+
+// TestCodedRepairRefusesExistingKey: a key already on a repair target
+// is some other position's orphan, so coded repair must not record it
+// (replicated repair, whose copies are interchangeable, does).
+func TestCodedRepairRefusesExistingKey(t *testing.T) {
+	r, faults := codedRouter(t, 7, 0, 4, 2)
+	key := chunk.Key{Blob: 1, Version: 1}
+	data := bytes.Repeat([]byte("orphan"), 100)
+	ids, err := r.Put(key, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Plant wrong bytes under the key on the only spare provider.
+	var spare ID = -1
+	for _, p := range r.Providers() {
+		if !containsID(ids, p.ID()) {
+			spare = p.ID()
+			if err := p.Store().Put(key, []byte("wrong fragment")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	faults[ids[2]].SetDown(true)
+	if outcome, copied, err := r.RepairChunk(key); outcome != RepairPartial || copied != 0 || err == nil {
+		t.Fatalf("repair onto an orphan = %v, %d, %v; want partial, 0 copied, an error", outcome, copied, err)
+	}
+	if now, _ := r.Locate(key); containsID(now, spare) {
+		t.Fatalf("placement %v recorded the orphan on provider %d", now, spare)
+	}
+	if got, err := r.Get(key, 0, int64(len(data))); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after refused repair: %v", err)
+	}
+}
+
+// TestCodedRespreadSwapsPosition: a full-degree coded chunk whose
+// fragments co-locate is re-spread by moving ONE fragment in place —
+// the position's entry is swapped, never appended (replicated
+// re-spread may leave an extra copy for trimExcess; a positional
+// placement has no room for one).
+func TestCodedRespreadSwapsPosition(t *testing.T) {
+	r, _ := codedRouter(t, 8, 0, 4, 2)
+	key := chunk.Key{Blob: 1, Version: 1}
+	data := bytes.Repeat([]byte("spread"), 100)
+	ids, err := r.Put(key, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Retag: fragments 0 and 1 share zone0, fragments 2..5 get a zone
+	// each, and both spares form the uncovered zone5.
+	for _, p := range r.Providers() {
+		label := "zone5"
+		for i, id := range ids {
+			if id == p.ID() {
+				label = fmt.Sprintf("zone%d", max(i-1, 0))
+			}
+		}
+		if err := r.SetDomain(p.ID(), label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if outcome, copied, err := r.RepairChunk(key); outcome != RepairRepaired || copied != 1 || err != nil {
+		t.Fatalf("re-spread = %v, %d, %v", outcome, copied, err)
+	}
+	now, _ := r.Locate(key)
+	if len(now) != len(ids) {
+		t.Fatalf("placement %v has %d positions, want %d", now, len(now), len(ids))
+	}
+	for i := range ids {
+		if moved := now[i] != ids[i]; moved != (i == 1) {
+			t.Fatalf("placement %v from %v: want only position 1 moved", now, ids)
+		}
+	}
+	if r.SpreadViolated(key) {
+		t.Fatal("still violated after re-spread")
+	}
+	if got, err := r.Get(key, 0, int64(len(data))); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("read after re-spread: %v", err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 // domainPool builds an unmetered manager with the given domain labels,
@@ -24,7 +23,7 @@ func domainPool(labels ...string) *Manager {
 // providers split into the given number of contiguous domains.
 func domainRouter(t *testing.T, n, domains, replicas int) (*Router, []*chunk.FaultStore) {
 	t.Helper()
-	mgr, faults := NewFaultPoolInDomains(n, domains, iosim.CostModel{})
+	mgr, _, faults, _ := NewPool(PoolConfig{N: n, Domains: domains, Faulty: true})
 	r := NewRouter(mgr)
 	r.SetReplicas(replicas)
 	return r, faults

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 func replicatedRouter(t *testing.T, n, replicas int) (*Router, []*chunk.FaultStore) {
 	t.Helper()
-	mgr, faults := NewFaultPool(n, iosim.CostModel{})
+	mgr, _, faults, _ := NewPool(PoolConfig{N: n, Faulty: true})
 	r := NewRouter(mgr)
 	r.SetReplicas(replicas)
 	return r, faults

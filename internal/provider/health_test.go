@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 // healthRig is a monitor over a small pool with a manual clock and a
@@ -22,7 +21,7 @@ type healthRig struct {
 
 func newHealthRig(t *testing.T, providers int, cfg HealthConfig) *healthRig {
 	t.Helper()
-	m, _ := NewPool(providers, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: providers})
 	rig := &healthRig{
 		m:       m,
 		h:       NewHealthMonitor(m, cfg),

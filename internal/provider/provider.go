@@ -5,15 +5,20 @@
 // round-robin order so the I/O workload distributes itself across the
 // aggregate bandwidth of all machines.
 //
-// On top of placement the layer implements chunk replication: the
-// Router stores every chunk on R distinct providers (Router.SetReplicas)
-// in parallel, commits a write once a configurable write quorum of
-// copies landed (Router.SetWriteQuorum), fails reads over to surviving
-// replicas when a provider is down (Manager.SetDown), and restores the
-// replication degree after a provider loss with a re-replication pass
-// (Router.Repair). Replication is the durability primitive that lets a
-// deployment lose a storage machine without losing any published
-// snapshot.
+// On top of allocation the Router stripes each chunk's bytes across
+// providers under one of two placement layouts (see layout.go): R
+// whole copies on distinct providers (Router.SetReplicas, the default
+// R=1), or k data + m parity Reed-Solomon fragments at fixed positions
+// (Router.SetCoding; the contract is on the coded type). One Router
+// skeleton serves both: it stores every member in parallel, commits a
+// write once a configurable write quorum of members landed
+// (Router.SetWriteQuorum), routes reads around members on down
+// providers (Manager.SetDown) — failing over across copies, or
+// reconstructing from any k fragments — and restores the placement
+// degree after a provider loss with a repair pass (Router.Repair). The
+// layout answers only where the two really differ. Redundant placement
+// is the durability primitive that lets a deployment lose a storage
+// machine without losing any published snapshot.
 //
 // # Contracts
 //
@@ -76,6 +81,7 @@
 package provider
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"sync"
@@ -282,13 +288,6 @@ func (m *Manager) Policy() Policy {
 	return m.policy
 }
 
-// NewPool builds a manager with n in-memory providers, each metered by
-// its own exclusive meter using the given cost model. It returns the
-// manager and the meters for inspection.
-func NewPool(n int, model iosim.CostModel) (*Manager, []*iosim.Meter) {
-	return NewPoolInDomains(n, 0, model)
-}
-
 // DomainLabel names the failure domain of provider i in a pool of n
 // providers split into the given number of equal contiguous blocks
 // ("zone0", "zone1", ...). Fewer than two domains yields the flat
@@ -303,60 +302,42 @@ func DomainLabel(i, n, domains int) string {
 	return fmt.Sprintf("zone%d", i*domains/n)
 }
 
-// NewPoolInDomains is NewPool with the providers split into the given
-// number of failure domains — contiguous blocks labeled per
-// DomainLabel, modeling machines racked together. domains <= 1 builds
-// the flat single-domain pool.
-func NewPoolInDomains(n, domains int, model iosim.CostModel) (*Manager, []*iosim.Meter) {
-	m := NewManager()
-	meters := make([]*iosim.Meter, 0, n)
-	for i := 0; i < n; i++ {
-		meter := iosim.NewMeter(model, true)
-		meters = append(meters, meter)
-		m.Register(NewInDomain(ID(i), chunk.NewMemStore(meter), DomainLabel(i, n, domains)))
-	}
-	return m, meters
+// PoolConfig describes the provider pool NewPool builds.
+type PoolConfig struct {
+	// N is the number of providers.
+	N int
+	// Domains splits the providers into that many failure domains —
+	// contiguous blocks labeled per DomainLabel, modeling machines
+	// racked together. <= 1 builds the flat single-domain pool.
+	Domains int
+	// Model is the cost model of each provider's exclusive meter.
+	Model iosim.CostModel
+	// StoreURL picks every provider's chunk backend through the backend
+	// factory, specialized per provider (disk schemes get a /pN
+	// subdirectory). Empty means mem://.
+	StoreURL string
+	// Faulty wraps every store in a chunk.FaultStore (reusing the
+	// wrapper when StoreURL carries the fault+ prefix), so callers can
+	// kill a machine at the STORE level — the failure error-driven
+	// detection must notice without an administrative SetDown.
+	Faulty bool
 }
 
-// NewFaultPool builds the same pool as NewPool with each provider's
-// store wrapped in a chunk.FaultStore, so callers can kill a machine
-// at the STORE level (every operation errors) — the failure that
-// error-driven detection must notice without an administrative
-// SetDown. Returns the manager and the fault stores by provider index.
-func NewFaultPool(n int, model iosim.CostModel) (*Manager, []*chunk.FaultStore) {
-	return NewFaultPoolInDomains(n, 0, model)
-}
-
-// NewFaultPoolInDomains is NewFaultPool with the providers split into
-// failure domains exactly as NewPoolInDomains does.
-func NewFaultPoolInDomains(n, domains int, model iosim.CostModel) (*Manager, []*chunk.FaultStore) {
+// NewPool builds a manager over cfg.N providers, each store metered by
+// its own exclusive meter. It returns the manager, the meters and —
+// with cfg.Faulty — the fault stores, both by provider index. Only a
+// StoreURL the backend factory refuses makes it fail.
+func NewPool(cfg PoolConfig) (*Manager, []*iosim.Meter, []*chunk.FaultStore, error) {
 	m := NewManager()
-	faults := make([]*chunk.FaultStore, 0, n)
-	for i := 0; i < n; i++ {
-		fs := chunk.NewFaultStore(chunk.NewMemStore(iosim.NewMeter(model, true)))
-		faults = append(faults, fs)
-		m.Register(NewInDomain(ID(i), fs, DomainLabel(i, n, domains)))
-	}
-	return m, faults
-}
-
-// NewURLPoolInDomains builds a pool whose provider stores come from
-// the chunk backend factory: the pool-level URL is specialized per
-// provider (disk schemes get a /pN subdirectory) and opened with an
-// exclusive meter, so -store mem:// matches NewPoolInDomains exactly
-// while disk:// and null:// swap the medium without touching placement.
-// With faulty set, every store is additionally wrapped in a
-// chunk.FaultStore (reusing the wrapper when the URL already carries
-// the fault+ prefix) and the handles are returned by provider index.
-func NewURLPoolInDomains(rawURL string, n, domains int, model iosim.CostModel, faulty bool) (*Manager, []*chunk.FaultStore, error) {
-	m := NewManager()
+	meters := make([]*iosim.Meter, 0, cfg.N)
 	var faults []*chunk.FaultStore
-	for i := 0; i < n; i++ {
-		s, err := chunk.OpenStore(chunk.ForProvider(rawURL, uint32(i)), iosim.NewMeter(model, true))
+	for i := 0; i < cfg.N; i++ {
+		meter := iosim.NewMeter(cfg.Model, true)
+		s, err := chunk.OpenStore(chunk.ForProvider(cmp.Or(cfg.StoreURL, "mem://"), uint32(i)), meter)
 		if err != nil {
-			return nil, nil, fmt.Errorf("provider %d: %w", i, err)
+			return nil, nil, nil, fmt.Errorf("provider %d: %w", i, err)
 		}
-		if faulty {
+		if cfg.Faulty {
 			fs, ok := s.(*chunk.FaultStore)
 			if !ok {
 				fs = chunk.NewFaultStore(s)
@@ -364,9 +345,10 @@ func NewURLPoolInDomains(rawURL string, n, domains int, model iosim.CostModel, f
 			faults = append(faults, fs)
 			s = fs
 		}
-		m.Register(NewInDomain(ID(i), s, DomainLabel(i, n, domains)))
+		meters = append(meters, meter)
+		m.Register(NewInDomain(ID(i), s, DomainLabel(i, cfg.N, cfg.Domains)))
 	}
-	return m, faults, nil
+	return m, meters, faults, nil
 }
 
 // Register adds a provider to the pool.
@@ -785,17 +767,16 @@ type placement struct {
 type Router struct {
 	*Manager
 	place    placement
-	cfg      sync.RWMutex // guards replicas/quorum/coding/health/onDegraded/locality/cache
+	cfg      sync.RWMutex // guards replicas/quorum/code/health/onDegraded/locality/cache
 	replicas int          // copies per chunk; 0 or 1 means no replication
-	quorum   int          // copies that must land for Put to succeed; 0 = replicas-1 (min 1)
+	quorum   int          // members that must land for Put to succeed; 0 = degree-1 (min quorumFloor)
 	rdNext   atomic.Uint64
 
-	// codeK/codeM/code select erasure-coded placement (see coded.go);
-	// nil code means the router replicates. maxChunk bounds declared
-	// streamed-put sizes (see stream.go); 0 means the default.
-	codeK, codeM int
-	code         *chunk.RSCode
-	maxChunk     int64
+	// code, when set, selects the coded layout over the replicated one
+	// (see Router.layout). maxChunk bounds declared streamed-put sizes
+	// (see stream.go); 0 means the default.
+	code     *chunk.RSCode
+	maxChunk int64
 
 	// localDomain is the failure domain this router's reads originate
 	// from; preferLocal orders same-domain replicas first (see
@@ -932,7 +913,7 @@ func (r *Router) noteDegraded(key chunk.Key) {
 
 // SetLocalDomain declares the failure domain this router's reads
 // originate from and turns on zone-local replica preference:
-// getFromSet tries same-domain replicas first, then the rest in
+// replicated reads try same-domain copies first, then the rest in
 // rotation. The failover set is never narrowed — a zone whose local
 // copies are all dead still reads remotely.
 func (r *Router) SetLocalDomain(domain string) { r.SetReadLocality(domain, true) }
@@ -1024,17 +1005,30 @@ func (r *Router) SetReplicas(n int) {
 func (r *Router) Replicas() int {
 	r.cfg.RLock()
 	defer r.cfg.RUnlock()
-	if r.replicas < 1 {
-		return 1
-	}
-	return r.replicas
+	return max(r.replicas, 1)
 }
 
-// SetWriteQuorum sets how many of the R copies must be stored for a
-// Put to succeed. 0 restores the default of R-1 (minimum 1): a write
-// survives the mid-flight loss of one provider, the failure unit this
-// layer is built around, while R healthy providers still normally
-// yield R copies. Values are clamped to [1, R] at use.
+// layout returns the placement layout the configuration selects: coded
+// when SetCoding set a code, otherwise R whole copies.
+func (r *Router) layout() layout {
+	r.cfg.RLock()
+	defer r.cfg.RUnlock()
+	if r.code != nil {
+		return coded{r.code}
+	}
+	return replicated{max(r.replicas, 1)}
+}
+
+// degree is the number of placement members every chunk should have.
+// Health, scrub and convergence checks all compare against it.
+func (r *Router) degree() int { return r.layout().degree() }
+
+// SetWriteQuorum sets how many of the R copies (or k+m fragments) must
+// be stored for a Put to succeed. 0 restores the default of degree-1:
+// a write survives the mid-flight loss of one provider, the failure
+// unit this layer is built around, while healthy providers still
+// normally yield full degree. Values are clamped at use (see
+// WriteQuorum).
 func (r *Router) SetWriteQuorum(q int) {
 	r.cfg.Lock()
 	defer r.cfg.Unlock()
@@ -1042,76 +1036,48 @@ func (r *Router) SetWriteQuorum(q int) {
 }
 
 // WriteQuorum returns the effective write quorum for the current
-// placement degree. In coded mode the degree is k+m fragments and the
-// quorum floor is k — committing with fewer would publish unreadable
-// data — with the same default of degree-1 (one mid-flight provider
-// loss tolerated).
-func (r *Router) WriteQuorum() int {
+// placement degree: the configured value — default degree-1, so a
+// write survives the mid-flight loss of one provider — clamped to
+// [quorumFloor, degree]. The floor is 1 copy, or k fragments:
+// committing with fewer would publish unreadable data.
+func (r *Router) WriteQuorum() int { return r.writeQuorum(r.layout()) }
+
+func (r *Router) writeQuorum(lay layout) int {
 	r.cfg.RLock()
-	q, k, coded := r.quorum, r.codeK, r.code != nil
+	q := r.quorum
 	r.cfg.RUnlock()
-	n := r.degree()
-	floor := 1
-	if coded {
-		floor = k
-	}
+	n := lay.degree()
 	if q == 0 {
 		q = n - 1
 	}
-	if q < floor {
-		q = floor
-	}
-	if q > n {
-		q = n
-	}
-	return q
+	return min(max(q, lay.quorumFloor()), n)
 }
 
-// Put allocates R distinct providers, stores the chunk on all of them
-// in parallel and records placement. It succeeds — returning the IDs
-// of the providers that actually hold a copy — as soon as at least the
-// write quorum of copies landed; with fewer it fails and reports the
-// replica errors. Copies that landed on a failed Put are orphans: the
-// write's ticket is retired by the caller, so no metadata ever
-// references them.
+// Put stores a chunk under the router's layout — R whole copies, or
+// k+m coded fragments — on distinct providers in parallel and records
+// placement. It succeeds, returning the recorded placement, as soon as
+// at least the write quorum of members landed; with fewer it fails and
+// reports the member errors. Members that landed on a failed Put are
+// orphans: the write's ticket is retired by the caller, so no metadata
+// ever references them.
 func (r *Router) Put(key chunk.Key, data []byte) ([]ID, error) {
-	var start time.Time
-	if r.met.putSec != nil {
-		start = time.Now()
-	}
-	stored, err := r.put(key, data)
-	if err == nil {
-		r.met.putTotal.Inc()
-		r.met.putBytes.Add(int64(len(data)))
-		if r.met.putSec != nil {
-			r.met.putSec.ObserveSince(start)
-		}
-	}
-	return stored, err
+	return r.put(r.layout(), key, data)
 }
 
-func (r *Router) put(key chunk.Key, data []byte) ([]ID, error) {
-	if code := r.codeState(); code != nil {
-		return r.putCoded(code, key, data)
-	}
-	want := r.Replicas()
-	quorum := r.WriteQuorum()
-	targets, err := r.AllocateN(want)
+// put is the buffered write: allocate the layout's targets and store
+// each target's payload on it, in parallel when there are several.
+func (r *Router) put(lay layout, key chunk.Key, data []byte) ([]ID, error) {
+	start := r.putStart()
+	targets, err := lay.allocate(r.Manager)
 	if err != nil {
 		return nil, err
 	}
+	parts := lay.encode(data)
 	if len(targets) == 1 {
 		// Unreplicated fast path: no fan-out machinery on the default
 		// R=1 write path.
-		p := targets[0]
-		if err := r.putOne(p, key, data); err != nil {
-			return nil, fmt.Errorf("provider: write quorum not met (0/1 copies, need 1): provider %d: %w", p.ID(), err)
-		}
-		stored := []ID{p.ID()}
-		r.place.mu.Lock()
-		r.place.m[key] = stored
-		r.place.mu.Unlock()
-		return stored, nil
+		err := r.putOne(targets[0], key, payload(data, parts, 0))
+		return r.commit(lay, key, int64(len(data)), targets, []error{err}, start)
 	}
 	errs := make([]error, len(targets))
 	var wg sync.WaitGroup
@@ -1119,31 +1085,65 @@ func (r *Router) put(key chunk.Key, data []byte) ([]ID, error) {
 		wg.Add(1)
 		go func(i int, p *Provider) {
 			defer wg.Done()
-			errs[i] = r.putOne(p, key, data)
+			errs[i] = r.putOne(p, key, payload(data, parts, i))
 		}(i, p)
 	}
 	wg.Wait()
-	stored := make([]ID, 0, len(targets))
+	return r.commit(lay, key, int64(len(data)), targets, errs, start)
+}
+
+// payload is target i's share of an encoded chunk (see layout.encode).
+func payload(data []byte, parts [][]byte, i int) []byte {
+	if parts == nil {
+		return data
+	}
+	return parts[i]
+}
+
+// putStart starts a put's latency clock (the zero time when the
+// histogram is not wired).
+func (r *Router) putStart() (start time.Time) {
+	if r.met.putSec != nil {
+		start = time.Now()
+	}
+	return start
+}
+
+// commit is the end of the write skeleton under Put and PutStream:
+// given each target's store outcome, it commits once the write quorum
+// landed and records the placement the layout keeps. A chunk committed
+// short of full degree (a provider died mid-flight) is born degraded:
+// it goes to read-repair now rather than waiting for the scrubber to
+// find it.
+func (r *Router) commit(lay layout, key chunk.Key, size int64, targets []*Provider, errs []error, start time.Time) ([]ID, error) {
+	landed := make([]ID, 0, len(targets))
 	var failures []error
 	for i, p := range targets {
 		if errs[i] == nil {
-			stored = append(stored, p.ID())
+			landed = append(landed, p.ID())
 		} else {
 			failures = append(failures, fmt.Errorf("provider %d: %w", p.ID(), errs[i]))
 		}
 	}
-	if len(stored) < quorum {
-		return nil, fmt.Errorf("provider: write quorum not met (%d/%d copies, need %d): %w",
-			len(stored), want, quorum, errors.Join(failures...))
+	if quorum := r.writeQuorum(lay); len(landed) < quorum {
+		unit := "fragments"
+		if lay.whole() {
+			unit = "copies"
+		}
+		return nil, fmt.Errorf("provider: write quorum not met (%d/%d %s, need %d): %w",
+			len(landed), len(targets), unit, quorum, errors.Join(failures...))
 	}
+	stored := lay.placed(targets, landed)
 	r.place.mu.Lock()
 	r.place.m[key] = stored
 	r.place.mu.Unlock()
-	if len(stored) < want {
-		// Quorum-committed short of R copies: born under-replicated
-		// (a provider died mid-flight). Hand it to read-repair now
-		// rather than waiting for the scrubber to find it.
+	if len(failures) > 0 {
 		r.noteDegraded(key)
+	}
+	r.met.putTotal.Inc()
+	r.met.putBytes.Add(size)
+	if r.met.putSec != nil {
+		r.met.putSec.ObserveSince(start)
 	}
 	return stored, nil
 }
@@ -1160,114 +1160,66 @@ func (r *Router) putOne(p *Provider, key chunk.Key, data []byte) error {
 	return err
 }
 
-// Get reads a chunk sub-range by consulting the read cache and then
-// the placement map, failing over across replicas: down providers are
-// skipped, and an error from one replica moves on to the next. Reads
-// rotate across the replica set so replicated read load spreads over
-// all copies (same-domain replicas first when a local domain is set).
-// A read that needed failover feeds read-repair via maybeNoteDegraded.
+// Get reads a chunk sub-range: from the read cache when it holds the
+// bytes, otherwise from the members placement records, through the
+// layout — copies fail over (rotating across the set, same-domain
+// copies first when a local domain is set) and fragments reconstruct.
+// A read that needed failover feeds read-repair.
 func (r *Router) Get(key chunk.Key, off, length int64) ([]byte, error) {
-	if code := r.codeState(); code != nil {
-		return r.getCoded(code, key, off, length)
-	}
-	cache := r.ReadCache()
+	lay, cache := r.layout(), r.ReadCache()
 	if cache != nil {
 		if data, ok := cache.GetData(key, off, length); ok {
 			return data, nil
 		}
 	}
-	// Locate copies the replica slice under the lock. Reading the map
-	// entry directly and iterating after unlock — as this path once
-	// did — depends on every writer installing a fresh slice; copying
-	// here removes the read path's only use of that invariant.
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, skips, storeErrs, err := r.getFromSet(ids, key, off, length)
+	data, _, err := readVia(r, lay, nil, key, off, length, lay.read)
 	if err != nil {
 		return nil, err
-	}
-	if skips+storeErrs > 0 {
-		r.maybeNoteDegraded(key, storeErrs)
 	}
 	r.fillData(cache, key, data, off)
 	return data, nil
 }
 
-// GetFrom reads like Get but tries the given replica set first — the
-// replica hint carried by chunk.Ref in metadata. The read cache is
-// consulted before any provider: cached data serves the read outright,
-// and a cached fresh set (left by an earlier read that corrected a
-// stale hint) supersedes the caller's hint. If every hinted replica
-// fails (stale hint after a repair moved the copies), it falls back to
-// the router's own placement map, capturing the set that served the
-// read in the SAME placement acquisition the read used. A non-nil
-// fresh return means the hint is out of date — the fallback served the
-// read, a cached set did, or the hint needed failover and placement
-// records a different set — and the caller should replace it (blob
+// GetFrom reads like Get but with the caller's replica hint — the set
+// carried by chunk.Ref in metadata. The read cache is consulted before
+// any provider: cached data serves the read outright, and for whole
+// copies a cached fresh set (left by an earlier read that corrected a
+// stale hint) supersedes the caller's hint. Then readVia serves the
+// read: a whole-copy hint is tried first and placement serves when
+// every hinted copy fails, while a coded hint is only compared, never
+// read through (see the coded contract). A non-nil fresh return means
+// the hint is out of date and the caller should replace it (blob
 // caches it so later reads of the same chunk skip the dead copies).
-func (r *Router) GetFrom(replicas []ID, key chunk.Key, off, length int64) (data []byte, fresh []ID, err error) {
-	if code := r.codeState(); code != nil {
-		return r.getFromCoded(code, replicas, key, off, length)
-	}
-	cache := r.ReadCache()
+func (r *Router) GetFrom(hint []ID, key chunk.Key, off, length int64) (data []byte, fresh []ID, err error) {
+	lay, cache := r.layout(), r.ReadCache()
 	if cache != nil {
 		if data, ok := cache.GetData(key, off, length); ok {
-			if hint, ok := cache.Hint(key); ok && !sameIDSet(hint, replicas) {
-				return data, hint, nil
+			if h, ok := cache.Hint(key); ok && !lay.sameSet(h, hint) {
+				return data, h, nil
 			}
 			return data, nil, nil
 		}
-		if hint, ok := cache.Hint(key); ok && !sameIDSet(hint, replicas) {
+		if lay.whole() {
 			// The cache holds a fresher set than the caller's hint; a
-			// set that fails entirely is dropped (placement moved again)
-			// and the normal path below retries from scratch.
-			data, skips, storeErrs, herr := r.getFromSet(hint, key, off, length)
-			if herr == nil {
-				if skips+storeErrs > 0 {
-					r.maybeNoteDegraded(key, storeErrs)
+			// set that fails entirely is dropped (placement moved
+			// again) and readVia below starts from the caller's hint.
+			if h, ok := cache.Hint(key); ok && !lay.sameSet(h, hint) {
+				if data, _, err := lay.read(r, h, key, off, length); err == nil {
+					r.fillData(cache, key, data, off)
+					return data, h, nil
 				}
-				r.fillData(cache, key, data, off)
-				return data, hint, nil
+				cache.Invalidate(key)
 			}
-			cache.Invalidate(key)
 		}
 	}
-	if len(replicas) > 0 {
-		data, skips, storeErrs, err := r.getFromSet(replicas, key, off, length)
-		if err == nil {
-			r.fillData(cache, key, data, off)
-			if skips+storeErrs > 0 {
-				r.maybeNoteDegraded(key, storeErrs)
-				if fresh, ok := r.Locate(key); ok && !sameIDSet(fresh, replicas) {
-					r.fillHint(cache, key, fresh)
-					return data, fresh, nil
-				}
-			}
-			return data, nil, nil
-		}
-	}
-	// Fallback: every hinted replica failed. Snapshot the authoritative
-	// set ONCE and read from exactly that snapshot, so the fresh set we
-	// return is the set that served the read — calling Get and then
-	// Locate as two acquisitions (as this path once did) let a repair
-	// slip between them and hand the caller a set that never served
-	// anything.
-	ids, ok := r.Locate(key)
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s", chunk.ErrNotFound, key)
-	}
-	data, skips, storeErrs, gerr := r.getFromSet(ids, key, off, length)
-	if gerr != nil {
-		return nil, nil, gerr
-	}
-	if skips+storeErrs > 0 {
-		r.maybeNoteDegraded(key, storeErrs)
+	if data, fresh, err = readVia(r, lay, hint, key, off, length, lay.read); err != nil {
+		return nil, nil, err
 	}
 	r.fillData(cache, key, data, off)
-	r.fillHint(cache, key, ids)
-	return data, ids, nil
+	if fresh != nil {
+		r.fillHint(cache, key, fresh)
+	}
+	return data, fresh, nil
 }
 
 // fillData caches a successful read's bytes when the read covered a
@@ -1287,67 +1239,7 @@ func (r *Router) fillHint(cache *ReadCache, key chunk.Key, ids []ID) {
 	}
 }
 
-// getFromSet tries each replica in preference order (see replicaOrder)
-// and returns the first successful read, along with failover
-// accounting: skips counts replicas bypassed on flags (down or
-// unknown), storeErrs counts real store errors observed before the
-// success. Every real store attempt reports its outcome to the health
-// monitor, and successful reads feed the locality counters when a
-// reader domain is set.
-func (r *Router) getFromSet(ids []ID, key chunk.Key, off, length int64) (data []byte, skips, storeErrs int, err error) {
-	if len(ids) == 0 {
-		return nil, 0, 0, fmt.Errorf("%w: %s (empty replica set)", chunk.ErrNotFound, key)
-	}
-	var start time.Time
-	if r.met.getSec != nil {
-		start = time.Now()
-	}
-	local, prefer := r.readLocality()
-	var lastErr error
-	for _, id := range r.replicaOrder(ids, local, prefer) {
-		p := r.byID(id)
-		if p == nil {
-			lastErr = fmt.Errorf("provider: placement references unknown provider %d", id)
-			skips++
-			continue
-		}
-		if p.Down() {
-			lastErr = fmt.Errorf("provider %d: %w", id, ErrProviderDown)
-			skips++
-			continue
-		}
-		data, err := p.Store().Get(key, off, length)
-		r.reportError(id, err)
-		if err == nil {
-			switch {
-			case local == "":
-				r.met.getFlat.Inc()
-			case p.Domain() == local:
-				r.met.getLocal.Inc()
-			default:
-				r.met.getRemote.Inc()
-			}
-			if r.met.getSec != nil {
-				r.met.getSec.ObserveSince(start)
-			}
-			if local != "" {
-				if p.Domain() == local {
-					r.locLocalReads.Add(1)
-					r.locLocalBytes.Add(int64(len(data)))
-				} else {
-					r.locRemoteReads.Add(1)
-					r.locRemoteBytes.Add(int64(len(data)))
-				}
-			}
-			return data, skips, storeErrs, nil
-		}
-		storeErrs++
-		lastErr = fmt.Errorf("provider %d: %w", id, err)
-	}
-	return nil, skips, storeErrs, fmt.Errorf("provider: all %d replicas of %s failed: %w", len(ids), key, lastErr)
-}
-
-// replicaOrder returns the order getFromSet tries a replica set in:
+// replicaOrder returns the order failover tries a replica set in:
 // rotated by the shared read cursor so replicated read load spreads
 // over all copies, then — when the reader prefers its own domain —
 // stably partitioned with same-domain replicas first. Partitioning
@@ -1477,16 +1369,17 @@ func (r *Router) Keys() []chunk.Key {
 	return keys
 }
 
-// liveReplicas splits a chunk's recorded replica set into verified-live
-// and dead members. A replica is live when its provider is known, not
-// flagged down, and — when verify is set — its store answers a Len
-// probe for the chunk. Verification is what lets the scrubber and the
-// repair path detect a dead machine BEFORE the health monitor has
-// flagged it. With report set, probe outcomes feed the monitor (so
-// scrub traffic itself trips detection); passive observers like
-// UnderReplicated probe silently to avoid acting as detectors.
-func (r *Router) liveReplicas(key chunk.Key, ids []ID, verify, report bool) (live []ID) {
-	for _, id := range ids {
+// liveMembers marks which members of a chunk's recorded placement are
+// live. A member is live when its provider is known, not flagged down,
+// and — when verify is set — its store answers a Len probe for the
+// chunk. Verification is what lets the scrubber and the repair path
+// detect a dead machine BEFORE the health monitor has flagged it. With
+// report set, probe outcomes feed the monitor (so scrub traffic itself
+// trips detection); passive observers like UnderReplicated probe
+// silently to avoid acting as detectors.
+func (r *Router) liveMembers(key chunk.Key, ids []ID, verify, report bool) []bool {
+	live := make([]bool, len(ids))
+	for i, id := range ids {
 		p := r.byID(id)
 		if p == nil || p.Down() {
 			continue
@@ -1500,9 +1393,19 @@ func (r *Router) liveReplicas(key chunk.Key, ids []ID, verify, report bool) (liv
 				continue
 			}
 		}
-		live = append(live, id)
+		live[i] = true
 	}
 	return live
+}
+
+// countLive returns how many members liveMembers marked live.
+func countLive(live []bool) (n int) {
+	for _, ok := range live {
+		if ok {
+			n++
+		}
+	}
+	return n
 }
 
 // ReplicaHealth reports how many of a chunk's recorded replicas (or
@@ -1513,7 +1416,7 @@ func (r *Router) ReplicaHealth(key chunk.Key) (live, want int, known bool) {
 	if !ok {
 		return 0, r.degree(), false
 	}
-	return len(r.liveReplicas(key, ids, false, false)), r.degree(), true
+	return countLive(r.liveMembers(key, ids, false, false)), r.degree(), true
 }
 
 // VerifyReplicas is the scrubber's per-chunk check: it probes every
@@ -1525,7 +1428,7 @@ func (r *Router) VerifyReplicas(key chunk.Key) (live, want int, known bool) {
 	if !ok {
 		return 0, r.degree(), false
 	}
-	return len(r.liveReplicas(key, ids, true, true)), r.degree(), true
+	return countLive(r.liveMembers(key, ids, true, true)), r.degree(), true
 }
 
 // UnderReplicated counts placement entries whose verified-live replica
@@ -1541,7 +1444,7 @@ func (r *Router) UnderReplicated() int {
 		if !ok {
 			continue
 		}
-		if len(r.liveReplicas(key, ids, true, false)) < want {
+		if countLive(r.liveMembers(key, ids, true, false)) < want {
 			n++
 		}
 	}
@@ -1614,52 +1517,38 @@ func (r *Router) repairChunk(key chunk.Key) (outcome RepairOutcome, copied int, 
 		return RepairHealthy, 0, nil
 	}
 	defer r.releaseKey(key)
-	if code := r.codeState(); code != nil {
-		return r.repairCoded(code, key)
-	}
-	want := r.Replicas()
 	ids, ok := r.Locate(key)
 	if !ok {
 		return RepairHealthy, 0, nil
 	}
-	live := r.liveReplicas(key, ids, true, true)
-	if len(live) == len(ids) && len(live) >= want {
+	lay := r.layout()
+	want := lay.degree()
+	if !lay.whole() && len(ids) != want {
+		return RepairPartial, 0, fmt.Errorf("provider: repair of %s: placement has %d positions, want %d (stored under a different layout?)", key, len(ids), want)
+	}
+	live := r.liveMembers(key, ids, true, true)
+	n := countLive(live)
+	if n == len(ids) && n >= want {
 		// Full degree. Restore the domain spread if the set co-locates
-		// while a spare live domain exists, then retire any copies
-		// ABOVE degree (left behind by a spread move whose eviction
-		// failed); otherwise nothing to do.
-		if r.spreadViolatedSet(live) {
-			if moved, merr := r.improveSpread(key, live); merr != nil {
+		// while a spare live domain exists, then retire any copies ABOVE
+		// degree (left behind by a spread move whose eviction failed);
+		// otherwise nothing to do.
+		if r.spreadViolatedSet(ids) {
+			if moved, merr := r.improveSpread(lay, key, ids); merr != nil {
 				return RepairPartial, 0, merr
 			} else if moved {
 				return RepairRepaired, 1, nil
 			}
 		}
-		if len(live) > want {
-			r.trimExcess(key, live, want)
+		if n > want {
+			r.trimExcess(key, ids, want)
 		}
 		return RepairHealthy, 0, nil
 	}
-	if len(live) == 0 {
-		return RepairLost, 0, fmt.Errorf("provider: chunk %s has no surviving replica", key)
+	if floor := lay.quorumFloor(); n < floor {
+		return RepairLost, 0, fmt.Errorf("provider: chunk %s has %d of %d members live, need %d", key, n, len(ids), floor)
 	}
-	newIDs, rerr := r.rereplicate(key, live, want)
-	if rerr != nil {
-		// Record any copies that DID land before the failure: invisible
-		// copies would be orphans — unreadable, re-copied by the next
-		// repair, and never reclaimed by DeleteReplicas.
-		if len(newIDs) > len(live) {
-			copied = len(newIDs) - len(live)
-			r.setPlacement(key, newIDs)
-		}
-		return RepairPartial, copied, rerr
-	}
-	copied = len(newIDs) - len(live)
-	r.setPlacement(key, newIDs)
-	if len(newIDs) >= want {
-		return RepairRepaired, copied, nil
-	}
-	return RepairPartial, copied, nil
+	return lay.rebuild(r, key, ids, live)
 }
 
 // Repair is the full re-replication pass: it scans the placement map
@@ -1696,59 +1585,6 @@ func (r *Router) Repair() RepairStats {
 		}
 	}
 	return st
-}
-
-// rereplicate copies one chunk from a surviving replica onto enough new
-// providers to restore the replication degree, returning the new
-// replica set (live survivors plus new copies). The survivors' failure
-// domains are handed to the allocator as already-covered, so new
-// copies land in uncovered domains first — a repair after a domain
-// loss restores the spread invariant along with the count.
-func (r *Router) rereplicate(key chunk.Key, live []ID, want int) ([]ID, error) {
-	missing := want - len(live)
-	if missing <= 0 {
-		return live, nil
-	}
-	data, err := r.readFull(key, live)
-	if err != nil {
-		return nil, err
-	}
-	exclude := make(map[ID]bool, len(live))
-	have := make(map[string]int, len(live))
-	for _, id := range live {
-		exclude[id] = true
-		have[r.DomainOf(id)]++
-	}
-	out := append([]ID(nil), live...)
-	var lastErr error
-	// A target whose store fails the copy (a dead machine the health
-	// monitor has not flagged yet) is excluded and allocation retried,
-	// so one repair call converges past flag-lagging losses instead of
-	// waiting for detection. The loop terminates: every round either
-	// places a copy or grows the exclusion set.
-	for missing > 0 {
-		targets, aerr := r.allocateSpread(missing, exclude, have)
-		if aerr != nil {
-			if lastErr == nil {
-				lastErr = aerr
-			}
-			return out, lastErr
-		}
-		for _, p := range targets {
-			exclude[p.ID()] = true
-			err := r.putOne(p, key, data)
-			// Tolerate ErrExists: an earlier partial repair or a
-			// quorum-failed Put may have left a valid copy here.
-			if err != nil && !errors.Is(err, chunk.ErrExists) {
-				lastErr = fmt.Errorf("provider %d: %w", p.ID(), err)
-				continue
-			}
-			out = append(out, p.ID())
-			have[p.Domain()]++
-			missing--
-		}
-	}
-	return out, nil
 }
 
 // liveDomainCount counts failure domains with at least one flag-live
@@ -1873,59 +1709,30 @@ func (r *Router) SpreadAudit() []chunk.Key {
 	return out
 }
 
-// improveSpread moves one replica of a full-degree chunk into a
-// failure domain the set does not cover: copy onto a provider in an
-// uncovered domain, then delete one copy from the most crowded domain.
-// moved is false when no uncovered live domain has a spare provider.
-// A failed delete leaves the extra copy in placement (harmless: one
-// copy above degree); the scrubber re-finds above-degree sets and
-// RepairChunk retires them via trimExcess. Caller holds the chunk's
-// in-flight claim.
-func (r *Router) improveSpread(key chunk.Key, live []ID) (moved bool, err error) {
-	exclude := make(map[ID]bool, len(live))
-	have := make(map[string]int, len(live))
-	for _, id := range live {
+// improveSpread moves one member of a full-degree chunk into a failure
+// domain the set does not cover — the layout picks the member and moves
+// it — and records the new placement. moved is false when no uncovered
+// live domain has a spare provider. Caller holds the chunk's in-flight
+// claim.
+func (r *Router) improveSpread(lay layout, key chunk.Key, ids []ID) (moved bool, err error) {
+	exclude := make(map[ID]bool, len(ids))
+	have := make(map[string]int, len(ids))
+	for _, id := range ids {
 		exclude[id] = true
 		have[r.DomainOf(id)]++
 	}
 	targets, err := r.allocateSpread(1, exclude, have)
 	if err != nil {
-		return false, nil // no spare provider at all; count is intact
+		return false, nil // no spare provider at all; degree is intact
 	}
-	target := targets[0]
-	if have[target.Domain()] > 0 {
+	if have[targets[0].Domain()] > 0 {
 		return false, nil // every uncovered domain is down or exhausted
 	}
-	data, err := r.readFull(key, live)
-	if err != nil {
+	newIDs, err := lay.respread(r, key, ids, targets[0], have)
+	if newIDs == nil {
 		return false, err
 	}
-	if err := r.putOne(target, key, data); err != nil && !errors.Is(err, chunk.ErrExists) {
-		return false, err
-	}
-	// Evict one copy from a crowded domain (>= 2 live copies): the new
-	// copy covers a fresh domain, so coverage strictly improves. The
-	// LAST such replica goes, keeping the earliest-written copy in
-	// place.
-	newSet := append([]ID(nil), live...)
-	for i := len(newSet) - 1; i >= 0; i-- {
-		id := newSet[i]
-		if have[r.DomainOf(id)] < 2 {
-			continue
-		}
-		p := r.byID(id)
-		if p == nil || p.Down() {
-			continue
-		}
-		derr := p.Store().Delete(key)
-		r.reportError(id, derr)
-		if derr == nil || errors.Is(derr, chunk.ErrNotFound) {
-			newSet = append(newSet[:i], newSet[i+1:]...)
-		}
-		break
-	}
-	newSet = append(newSet, target.ID())
-	r.setPlacement(key, newSet)
+	r.setPlacement(key, newIDs)
 	return true, nil
 }
 
@@ -2056,6 +1863,29 @@ func (r *Router) Usage() []ProviderUsage {
 		out = append(out, ProviderUsage{Provider: p.ID(), Domain: p.Domain(), Chunks: chunks, Bytes: bytes, Down: p.Down()})
 	}
 	return out
+}
+
+// readMember reads one member's whole copy or fragment of key. size >=
+// 0 is the expected length (no Len probe, and any other length is an
+// error); otherwise the store's Len decides. The read — not the Len
+// probe — feeds the health monitor.
+func (r *Router) readMember(id ID, key chunk.Key, size int64) ([]byte, error) {
+	p := r.byID(id)
+	if p == nil || p.Down() {
+		return nil, fmt.Errorf("provider %d: %w", id, ErrProviderDown)
+	}
+	if size < 0 {
+		var err error
+		if size, err = p.Store().Len(key); err != nil {
+			return nil, err
+		}
+	}
+	data, err := p.Store().Get(key, 0, size)
+	r.reportError(id, err)
+	if err == nil && int64(len(data)) != size {
+		err = fmt.Errorf("provider %d: %s holds %d bytes, want %d", id, key, len(data), size)
+	}
+	return data, err
 }
 
 // readFull reads a whole chunk from the first surviving replica able to

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/chunk"
-	"repro/internal/iosim"
 )
 
 func TestAllocateRoundRobin(t *testing.T) {
@@ -44,7 +43,7 @@ func TestAllocateEmpty(t *testing.T) {
 }
 
 func TestAllocateSkipsDownProviders(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 3})
 	if err := m.SetDown(1, true); err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestPropAllocateNDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		pool := 1 + rng.Intn(8)
-		m, _ := NewPool(pool, iosim.CostModel{})
+		m, _, _, _ := NewPool(PoolConfig{N: pool})
 		down := map[ID]bool{}
 		for id := 0; id < pool; id++ {
 			if rng.Intn(3) == 0 {
@@ -116,7 +115,7 @@ func TestPropAllocateNBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 50; trial++ {
 		pool := 2 + rng.Intn(7)
-		m, _ := NewPool(pool, iosim.CostModel{})
+		m, _, _, _ := NewPool(PoolConfig{N: pool})
 		r := 1 + rng.Intn(pool)
 		calls := 20 + rng.Intn(100)
 		for i := 0; i < calls; i++ {
@@ -143,7 +142,7 @@ func TestPropAllocateNBalanced(t *testing.T) {
 // AllocateN must fail with the typed error when the replication degree
 // exceeds the live provider count.
 func TestAllocateNInsufficientProviders(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 4})
 	if err := m.SetDown(0, true); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +172,7 @@ func TestAllocateNInsufficientProviders(t *testing.T) {
 func TestConcurrentAllocationBalance(t *testing.T) {
 	const providers = 8
 	const rounds = 100
-	m, _ := NewPool(providers, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: providers})
 	var wg sync.WaitGroup
 	for g := 0; g < providers; g++ {
 		wg.Add(1)
@@ -197,7 +196,7 @@ func TestConcurrentAllocationBalance(t *testing.T) {
 }
 
 func TestRouterPutGet(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 3})
 	r := NewRouter(m)
 	key := chunk.Key{Blob: 1, Version: 5, Index: 0}
 	ids, err := r.Put(key, []byte("routed data"))
@@ -228,7 +227,7 @@ func TestRouterGetUnknown(t *testing.T) {
 }
 
 func TestRouterDistributesChunks(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 4})
 	r := NewRouter(m)
 	for i := 0; i < 16; i++ {
 		key := chunk.Key{Blob: 1, Version: 1, Index: uint32(i)}
@@ -252,7 +251,7 @@ func TestRouterDistributesChunks(t *testing.T) {
 }
 
 func TestRouterReplicatedPut(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 4})
 	r := NewRouter(m)
 	r.SetReplicas(3)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -280,7 +279,7 @@ func TestRouterReplicatedPut(t *testing.T) {
 }
 
 func TestRouterFailoverRead(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 3})
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -320,7 +319,7 @@ func TestRouterFailoverRead(t *testing.T) {
 func TestRouterGetFromStaleHint(t *testing.T) {
 	// A hint referencing only dead/unknown providers must fall back to
 	// the router's placement map.
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 3})
 	r := NewRouter(m)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
 	if _, err := r.Put(key, []byte("real")); err != nil {
@@ -382,7 +381,7 @@ func TestRouterWriteQuorum(t *testing.T) {
 }
 
 func TestRouterRepair(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 4})
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	const chunks = 12
@@ -432,7 +431,7 @@ func TestRouterRepair(t *testing.T) {
 func TestRouterRepairLost(t *testing.T) {
 	// R=1 with the single holder dead: the chunk is lost, counted, and
 	// repair does not invent data.
-	m, _ := NewPool(2, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 2})
 	r := NewRouter(m)
 	key := chunk.Key{Blob: 1}
 	ids, err := r.Put(key, []byte("only copy"))
@@ -449,7 +448,7 @@ func TestRouterRepairLost(t *testing.T) {
 }
 
 func TestNewPoolMeters(t *testing.T) {
-	m, meters := NewPool(2, iosim.CostModel{})
+	m, meters, _, _ := NewPool(PoolConfig{N: 2})
 	if m.Count() != 2 || len(meters) != 2 {
 		t.Fatalf("pool size mismatch: %d providers, %d meters", m.Count(), len(meters))
 	}
@@ -470,7 +469,7 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 func TestRandomPolicyCoversAllProviders(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 4})
 	m.SetPolicy(Random)
 	if m.Policy() != Random {
 		t.Fatal("policy not set")
@@ -489,7 +488,7 @@ func TestRandomPolicyCoversAllProviders(t *testing.T) {
 
 func TestNonRoundRobinPoliciesStayDistinct(t *testing.T) {
 	for _, pol := range []Policy{Random, LeastLoaded} {
-		m, _ := NewPool(4, iosim.CostModel{})
+		m, _, _, _ := NewPool(PoolConfig{N: 4})
 		m.SetPolicy(pol)
 		for i := 0; i < 50; i++ {
 			ps, err := m.AllocateN(3)
@@ -508,7 +507,7 @@ func TestNonRoundRobinPoliciesStayDistinct(t *testing.T) {
 }
 
 func TestLeastLoadedBalances(t *testing.T) {
-	m, _ := NewPool(3, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 3})
 	m.SetPolicy(LeastLoaded)
 	// Pre-load provider 0 heavily by hand.
 	m.Providers()[0].allocated.Store(100)
@@ -528,9 +527,11 @@ func TestLeastLoadedBalances(t *testing.T) {
 	}
 }
 
-// faultPool is NewFaultPool unmetered, for brevity.
+// faultPool is an unmetered pool of fault-injectable stores, for
+// brevity.
 func faultPool(n int) (*Manager, []*chunk.FaultStore) {
-	return NewFaultPool(n, iosim.CostModel{})
+	m, _, faults, _ := NewPool(PoolConfig{N: n, Faulty: true})
+	return m, faults
 }
 
 // TestRouterReadRepairSignals: a degraded read (failover needed) and a
@@ -666,7 +667,7 @@ func TestRepairChunk(t *testing.T) {
 // refreshed from placement when placement disagrees — otherwise every
 // future read walks the half-dead hint forever.
 func TestGetFromRefreshesPartiallyStaleHint(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 4})
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	key := chunk.Key{Blob: 1, Version: 1, Index: 0}
@@ -703,7 +704,7 @@ func TestGetFromRefreshesPartiallyStaleHint(t *testing.T) {
 // says it is back at full degree — healthy chunks would crowd real
 // work out of the bounded queue.
 func TestStaleHintDoesNotSpamRepairQueue(t *testing.T) {
-	m, _ := NewPool(4, iosim.CostModel{})
+	m, _, _, _ := NewPool(PoolConfig{N: 4})
 	r := NewRouter(m)
 	r.SetReplicas(2)
 	var mu sync.Mutex

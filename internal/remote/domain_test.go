@@ -16,7 +16,7 @@ import (
 // reports the chunks the retagged topology leaves co-located, and a
 // repair pass re-spreads them until the audit is clean.
 func TestDomainRPCs(t *testing.T) {
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	health := provider.NewHealthMonitor(mgr, provider.HealthConfig{})

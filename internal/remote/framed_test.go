@@ -76,7 +76,7 @@ func TestFramedChunkRoundTrip(t *testing.T) {
 func TestFramedErrorsKeepConnection(t *testing.T) {
 	// One provider, so the duplicate put lands on the same store and
 	// surfaces the ErrExists protocol violation.
-	mgr, _ := provider.NewPool(1, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 1})
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -150,7 +150,7 @@ func TestFramedAndGobCoexist(t *testing.T) {
 // with a metrics role.
 func TestFramedMetrics(t *testing.T) {
 	reg := metrics.NewRegistry()
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 3})
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:      vmanager.New(iosim.CostModel{}),
 		Meta:    metadata.NewStore(2, iosim.CostModel{}),
@@ -193,7 +193,7 @@ func TestFramedMetrics(t *testing.T) {
 // stale socket, flush its idle list, and transparently retry the op on
 // a fresh dial.
 func TestFramedPoolSurvivesNodeRestart(t *testing.T) {
-	mgr, _ := provider.NewPool(1, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 1})
 	roles := Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -321,7 +321,7 @@ func TestFramedServerRejectsOversizedPut(t *testing.T) {
 // rs-4+2 mode: fragments place over the wire-invisible coded path, and
 // the Coding RPC reports the mode to operators.
 func TestFramedCodedRoundTrip(t *testing.T) {
-	mgr, _ := provider.NewPool(6, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 6})
 	r := provider.NewRouter(mgr)
 	if err := r.SetCoding(4, 2); err != nil {
 		t.Fatal(err)

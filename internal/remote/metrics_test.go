@@ -20,7 +20,7 @@ func TestMetricsOverRPC(t *testing.T) {
 	reg := metrics.NewRegistry()
 	vm := vmanager.New(iosim.CostModel{})
 	vm.SetMetrics(reg)
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 3})
 	router := provider.NewRouter(mgr)
 	router.SetMetrics(reg)
 	node, err := Listen("127.0.0.1:0", Roles{

@@ -20,7 +20,7 @@ import (
 // startNode boots a single node hosting all roles on a loopback port.
 func startNode(t *testing.T) (*Node, Endpoints) {
 	t.Helper()
-	mgr, _ := provider.NewPool(3, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 3})
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
@@ -174,7 +174,7 @@ func TestSplitRoleNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer metaNode.Close()
-	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 2})
 	dataNode, err := Listen("127.0.0.1:0", Roles{Data: provider.NewRouter(mgr)})
 	if err != nil {
 		t.Fatal(err)
@@ -226,7 +226,7 @@ func TestReplicatedDataNodeOverRPC(t *testing.T) {
 	// A data node with R=2: writes return replica sets, a provider
 	// killed over RPC leaves every version readable via failover, and
 	// the repair RPC restores full degree so a second loss is survivable.
-	mgr, _ := provider.NewPool(4, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 4})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	node, err := Listen("127.0.0.1:0", Roles{
@@ -326,7 +326,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 	// A data node running the self-healing loop: health and scrub RPCs
 	// report the error-driven detector's state, and a synchronous scrub
 	// pass repairs a lost provider with no repair RPC ever issued.
-	mgr, faults := provider.NewFaultPool(4, iosim.CostModel{})
+	mgr, _, faults, _ := provider.NewPool(provider.PoolConfig{N: 4, Faulty: true})
 	router := provider.NewRouter(mgr)
 	router.SetReplicas(2)
 	health := provider.NewHealthMonitor(mgr, provider.HealthConfig{Threshold: 2})
@@ -408,7 +408,7 @@ func TestSelfHealNodeOverRPC(t *testing.T) {
 }
 
 func TestSelfHealRPCsRequireHealer(t *testing.T) {
-	mgr, _ := provider.NewPool(2, iosim.CostModel{})
+	mgr, _, _, _ := provider.NewPool(provider.PoolConfig{N: 2})
 	node, err := Listen("127.0.0.1:0", Roles{
 		VM:   vmanager.New(iosim.CostModel{}),
 		Meta: metadata.NewStore(2, iosim.CostModel{}),
